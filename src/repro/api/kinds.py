@@ -42,8 +42,8 @@ FDM_GRID_OPTIONS = ("nx", "ny", "nz")
 #: Array namespaces :class:`repro.api.specs.StudySpec` understands — a
 #: plain-literal mirror of :data:`repro.core.backend.ARRAY_BACKENDS`
 #: (``tests/test_backend.py`` pins the two equal).  ``numpy`` is always
-#: available; the rest resolve lazily at engine build time.
-ARRAY_BACKENDS = ("numpy", "array_api_strict", "cupy", "jax")
+#: available; ``array_api_strict`` resolves lazily at engine build time.
+ARRAY_BACKENDS = ("numpy", "array_api_strict")
 
 #: Precision policies :class:`repro.api.specs.StudySpec` understands — a
 #: plain-literal mirror of :data:`repro.core.backend.PRECISIONS` keys

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import abc
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -129,6 +130,19 @@ def _power_map(value: Optional[Mapping[str, float]], label: str) -> Mapping[str,
                 f"{label}[{key!r}] must be a number, got {entry!r}"
             ) from None
     return MappingProxyType(result)
+
+
+def _positive_number(value: Any, label: str) -> float:
+    """``value`` as a finite positive float, or a ValueError naming ``label``."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{label} must be a number, got {value!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{label} must be finite, got {value!r}")
+    if value <= 0.0:
+        raise ValueError(f"{label} must be positive")
+    return value
 
 
 def _reject_unknown_keys(cls, data: Mapping[str, Any]) -> None:
@@ -278,13 +292,7 @@ class FloorplanSpec(_SpecSerialization):
     def __post_init__(self) -> None:
         for label in ("die_width", "die_length", "die_thickness"):
             value = getattr(self, label)
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"{label} must be a number, got {value!r}") from None
-            if value <= 0.0:
-                raise ValueError(f"{label} must be positive")
-            object.__setattr__(self, label, value)
+            object.__setattr__(self, label, _positive_number(value, label))
         if not isinstance(self.blocks, abc.Iterable) or isinstance(self.blocks, str):
             raise ValueError("blocks must be a sequence of block descriptions")
         object.__setattr__(
@@ -485,13 +493,7 @@ class ScenarioSpec(_SpecSerialization):
             value = getattr(self, label)
             if value is None:
                 continue
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"{label} must be a number, got {value!r}") from None
-            if value <= 0.0:
-                raise ValueError(f"{label} must be positive")
-            object.__setattr__(self, label, value)
+            object.__setattr__(self, label, _positive_number(value, label))
         if isinstance(self.activity, abc.Mapping):
             object.__setattr__(self, "activity", _power_map(self.activity, "activity"))
             if any(value < 0.0 for value in self.activity.values()):
@@ -1116,12 +1118,11 @@ class StudySpec(_SpecSerialization):
     array_backend:
         Array namespace the engine computes in —
         :data:`~repro.api.kinds.ARRAY_BACKENDS` name.  ``None`` (default)
-        and ``"numpy"`` run the in-place NumPy fast paths, bit-identical
-        to pre-seam studies; ``"array_api_strict"`` / ``"cupy"`` /
-        ``"jax"`` run the functional Array-API mirrors (the optional
-        namespaces resolve lazily at engine build time and error there if
-        not installed).  ``thermal_map`` studies are numpy-evaluated and
-        accept only the default/``"numpy"``.
+        and ``"numpy"`` are bit-identical to pre-seam studies;
+        ``"array_api_strict"`` runs the same functional loops on the
+        standard's reference namespace (resolved lazily at engine build
+        time, erroring there if not installed).  ``thermal_map`` studies
+        are numpy-evaluated and accept only the default/``"numpy"``.
     precision:
         Working-precision policy — :data:`~repro.api.kinds.PRECISIONS`
         name.  ``None`` (default) and ``"float64"`` are the bit-exact
@@ -1218,13 +1219,7 @@ class StudySpec(_SpecSerialization):
             value = getattr(self, label)
             if value is None:
                 continue
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"{label} must be a number, got {value!r}") from None
-            if value <= 0.0:
-                raise ValueError(f"{label} must be positive")
-            object.__setattr__(self, label, value)
+            object.__setattr__(self, label, _positive_number(value, label))
         samples = tuple(self.map_samples)
         if len(samples) != 2 or any(int(n) < 2 for n in samples):
             raise ValueError(
@@ -1285,9 +1280,11 @@ class StudySpec(_SpecSerialization):
                 f"{', '.join(map(repr, unknown))}"
                 + (f"; allowed: {', '.join(allowed)}" if allowed else "")
             )
-        object.__setattr__(
-            self, "solver", MappingProxyType(_freeze(dict(self.solver), "solver"))
-        )
+        solver = _freeze(dict(self.solver), "solver")
+        for key, value in solver.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"solver option {key!r} must be finite, got {value!r}")
+        object.__setattr__(self, "solver", MappingProxyType(solver))
         if not isinstance(self.label, str):
             raise ValueError("label must be a string")
         self._validate_kind()

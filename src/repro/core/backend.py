@@ -8,12 +8,13 @@ receives (:func:`get_namespace`) or from an engine-level policy
 (:func:`resolve_namespace`) instead of importing ``numpy`` directly.  The
 same code then runs on
 
-* **numpy** — the default; the in-place ufunc fast paths stay enabled and
-  results are bit-identical to the pre-seam engines;
+* **numpy** — the default; results are bit-identical to the pre-seam
+  engines;
 * **array_api_strict** — the reference implementation of the standard,
-  used by CI to prove no NumPy-only idiom leaks through the seam;
-* **cupy** / **jax** — optional accelerated namespaces, resolved lazily
-  and only when importable (never a hard dependency).
+  used by CI to prove no NumPy-only idiom leaks through the seam.
+
+Each loop has one functional implementation that every namespace runs, so
+the two registry entries differ only in the arrays they compute on.
 
 Precision is the second half of the policy: a :class:`Precision` names
 the working dtype (``float64`` or ``float32``) together with the
@@ -44,7 +45,6 @@ __all__ = [
     "resolve_namespace",
     "resolve_precision",
     "result_float_dtype",
-    "supports_inplace",
     "to_numpy",
 ]
 
@@ -81,14 +81,12 @@ def get_namespace(*arrays: Any) -> Any:
 
 
 #: Selectable array namespaces, in registry order.  ``numpy`` is always
-#: available; the rest resolve lazily and only if importable.
-ARRAY_BACKENDS: Tuple[str, ...] = ("numpy", "array_api_strict", "cupy", "jax")
+#: available; ``array_api_strict`` resolves lazily and only if importable.
+ARRAY_BACKENDS: Tuple[str, ...] = ("numpy", "array_api_strict")
 
 _NAMESPACE_MODULES: Dict[str, str] = {
     "numpy": "numpy",
     "array_api_strict": "array_api_strict",
-    "cupy": "cupy",
-    "jax": "jax.numpy",
 }
 
 
@@ -138,17 +136,6 @@ def array_backend_available(name: str) -> bool:
     except (ImportError, ValueError):
         return False
     return True
-
-
-def supports_inplace(xp: Any) -> bool:
-    """Whether ``xp`` supports the numpy ``out=`` / in-place ufunc idiom.
-
-    True exactly for numpy: the engines keep their buffer-reusing in-place
-    fast paths (bit-identical to the pre-seam code) on numpy and switch to
-    functional Array-API expressions — same operations, same order — on
-    every other namespace.
-    """
-    return xp is np
 
 
 def to_numpy(array: Any) -> np.ndarray:

@@ -36,6 +36,7 @@ parity oracle of ``tests/test_scenarios.py`` and the baseline of
 
 from __future__ import annotations
 
+import math
 from collections import abc
 from dataclasses import dataclass
 from typing import (
@@ -59,7 +60,6 @@ from ..backend import (
     Precision,
     resolve_namespace,
     resolve_precision,
-    supports_inplace,
     to_numpy,
 )
 from ..dynamic.total import PowerBreakdown
@@ -76,6 +76,21 @@ def _take_rows(array, rows, xp):
     if isinstance(rows, slice) or xp is np:
         return array[rows]
     return xp.take(array, xp.asarray(rows), axis=0)
+
+
+def _keep_rows(array, keep: np.ndarray, xp):
+    """``array[keep]`` for a host boolean row mask, portably across ``xp``."""
+    if xp is np:
+        return array[keep]
+    return xp.take(array, xp.asarray(np.flatnonzero(keep)), axis=0)
+
+
+def _row_indices(rows, mask: np.ndarray) -> np.ndarray:
+    """Host indices of the ``mask``-selected rows of the selector ``rows``
+    (``slice(None)`` or an index array)."""
+    if isinstance(rows, slice):
+        return np.flatnonzero(mask)
+    return rows[mask]
 
 
 @dataclass(frozen=True)
@@ -221,52 +236,6 @@ def scenario_grid(
     )
 
 
-class Workspace:
-    """Named, reusable work buffers for the batched update loops.
-
-    The streaming executor (:mod:`repro.core.cosim.streaming`) runs every
-    chunk through one :class:`Workspace`, so the damped fixed point and the
-    exact-exponential transient update touch preallocated memory via
-    ``out=``/in-place ufuncs instead of allocating fresh arrays per chunk.
-    Buffers are keyed by name, grown on demand, and handed out as leading
-    ``[:rows]`` views — a later, smaller chunk reuses the same storage.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: Dict[str, np.ndarray] = {}
-
-    def buffer(
-        self, name: str, shape: Tuple[int, ...], dtype: type = float
-    ) -> np.ndarray:
-        """A ``shape``-sized view of the named buffer (allocating/growing)."""
-        base = self._buffers.get(name)
-        if (
-            base is None
-            or base.dtype != np.dtype(dtype)
-            or base.shape[1:] != tuple(shape[1:])
-            or base.shape[0] < shape[0]
-        ):
-            base = np.empty(shape, dtype=dtype)
-            self._buffers[name] = base
-        return base[: shape[0]]
-
-    def nbytes(self) -> int:
-        """Total bytes currently held (for budget introspection/tests)."""
-        return sum(buffer.nbytes for buffer in self._buffers.values())
-
-
-def _work_buffer(
-    workspace: Optional[Workspace],
-    name: str,
-    shape: Tuple[int, ...],
-    dtype: type = float,
-) -> np.ndarray:
-    """A named workspace view, or a fresh array when no workspace is given."""
-    if workspace is None:
-        return np.empty(shape, dtype=dtype)
-    return workspace.buffer(name, shape, dtype)
-
-
 class ScenarioPhysics:
     """Precomputed per-scenario arrays of a scenario batch.
 
@@ -299,8 +268,7 @@ class ScenarioPhysics:
         self.xp = engine.array_namespace
         self.precision = engine.precision
         self.dtype = engine.working_dtype
-        self.inplace = supports_inplace(self.xp)
-        self._default_policy = self.inplace and self.precision.name == "float64"
+        self._default_policy = self.xp is np and self.precision.name == "float64"
         self._unit_matrix = engine._unit_matrix
         self._unit_matrix_host = engine._unit_matrix_host
 
@@ -429,139 +397,61 @@ class ScenarioPhysics:
         self._ideality = self.cast(devices.n.reshape((count, 1)))
         self._leakage_ready = True
 
-    def static_powers(
-        self,
-        temperatures: np.ndarray,
-        rows,
-        out: Optional[np.ndarray] = None,
-        workspace: Optional[Workspace] = None,
-    ) -> np.ndarray:
+    def static_powers(self, temperatures, rows):
         """Static power [W] of the given scenario rows at ``temperatures``.
 
-        The arithmetic is one fixed in-place ufunc chain — `exp`-factor and
-        ``(T/T_ref)^2`` built up in two work buffers — so the monolithic
-        and chunked paths execute identical floating-point operations
-        (monolithic callers simply get fresh buffers).  ``out`` must not
-        alias ``temperatures``.  Non-numpy namespaces run the functional
-        mirror (:meth:`_static_powers_xp`) — same operations, same order —
-        and ignore ``out``/``workspace``.
+        ``rows`` selects the rows' per-scenario constants: ``slice(None)``
+        for the whole batch, or a host index array once rows have been
+        compacted away.  Every operation is elementwise, so a row's result
+        does not depend on which other rows are evaluated with it.
+
+        Compound assignments (the Array API's in-place operators) reuse
+        the temporaries this method allocates, which keeps large batches
+        from re-faulting fresh pages every call.  Each one at most swaps
+        the operands of an IEEE multiply or add, which is exact, so the
+        results equal the plain expression ``static_ref * (prefactor *
+        (T/T_ref)^2 * exp(...) / cold)`` bit for bit.
         """
         self._ensure_leakage_constants()
-        if not self.inplace:
-            return self._static_powers_xp(temperatures, rows)
-        shape = temperatures.shape
-        gate = _work_buffer(workspace, "sp_gate", shape, dtype=temperatures.dtype)
-        scratch = _work_buffer(
-            workspace, "sp_scratch", shape, dtype=temperatures.dtype
-        )
-        if out is None:
-            out = np.empty(shape, dtype=temperatures.dtype)
-        # gate <- -Vth(T) = -(vt0 - kt * (T - T_ref)), built as 0.0 - Vth to
-        # preserve the reference expression's signed-zero behavior.
-        np.subtract(temperatures, self._reference[rows], out=gate)
-        np.multiply(self._kt[rows], gate, out=gate)
-        np.subtract(self._vt0[rows], gate, out=gate)
-        np.subtract(0.0, gate, out=gate)
-        # scratch <- n * kT/q (same association as technology.constants);
-        # the positivity check lives with the scenario construction.
-        np.multiply(BOLTZMANN, temperatures, out=scratch)
-        np.divide(scratch, ELEMENTARY_CHARGE, out=scratch)
-        np.multiply(self._ideality[rows], scratch, out=scratch)
-        # gate <- safe_exp(-Vth / (n kT/q)), clip+exp exactly as the kernel.
-        np.divide(gate, scratch, out=gate)
-        limit = leakage_kernel.MAX_EXPONENT
-        np.clip(gate, -limit, limit, out=gate)
-        np.exp(gate, out=gate)
-        # scratch <- prefactor * (T / T_ref)^2; ``x ** 2`` lowers to square.
-        np.divide(temperatures, self._reference[rows], out=scratch)
-        np.square(scratch, out=scratch)
-        np.multiply(self._prefactor_base[rows], scratch, out=scratch)
-        # out <- static_ref * (hot / cold)
-        np.multiply(scratch, gate, out=scratch)
-        np.divide(scratch, self._cold[rows], out=scratch)
-        np.multiply(self.static_ref[rows], scratch, out=out)
-        return out
-
-    def _static_powers_xp(self, temperatures, rows):
-        """Functional mirror of the :meth:`static_powers` ufunc chain.
-
-        Every binary operation appears in the same order and association
-        as the in-place chain, so float64 results agree bit-for-bit with
-        the numpy path (IEEE elementwise operations are deterministic).
-        """
         xp = self.xp
         reference = _take_rows(self._reference, rows, xp)
+        # -Vth(T) = -(vt0 - kt * (T - T_ref)), built as 0.0 - Vth to
+        # preserve the reference expression's signed-zero behavior.
         gate = 0.0 - (
             _take_rows(self._vt0, rows, xp)
             - _take_rows(self._kt, rows, xp) * (temperatures - reference)
         )
-        scratch = _take_rows(self._ideality, rows, xp) * (
-            (BOLTZMANN * temperatures) / ELEMENTARY_CHARGE
-        )
+        # n * kT/q (same association as technology.constants); the
+        # positivity check lives with the scenario construction.
+        scratch = (BOLTZMANN * temperatures) / ELEMENTARY_CHARGE
+        scratch *= _take_rows(self._ideality, rows, xp)
+        # safe_exp(-Vth / (n kT/q)), clip+exp exactly as the kernel.
+        gate /= scratch
         limit = leakage_kernel.MAX_EXPONENT
-        gate = xp.exp(xp.clip(gate / scratch, -limit, limit))
-        ratio = temperatures / reference
-        ratio = ratio * ratio
-        hot = (_take_rows(self._prefactor_base, rows, xp) * ratio) * gate
-        hot = hot / _take_rows(self._cold, rows, xp)
-        return _take_rows(self.static_ref, rows, xp) * hot
+        gate = xp.exp(xp.clip(gate, -limit, limit))
+        # static_ref * ((prefactor * (T / T_ref)^2) * gate / cold)
+        hot = temperatures / reference
+        hot *= hot
+        hot *= _take_rows(self._prefactor_base, rows, xp)
+        hot *= gate
+        hot /= _take_rows(self._cold, rows, xp)
+        hot *= _take_rows(self.static_ref, rows, xp)
+        return hot
 
-    def steady_targets(
-        self,
-        powers: np.ndarray,
-        rows,
-        out: Optional[np.ndarray] = None,
-        workspace: Optional[Workspace] = None,
-    ) -> np.ndarray:
+    def steady_targets(self, powers, rows):
         """Steady-state block temperatures [K] for the rows' ``powers``.
 
         ``T_ss = T_amb + R_hs * sum(P) + R @ P`` with the cached
         unit-conductivity reduction scaled by each scenario's ``1/k``.
-        One in-place chain shared by monolithic and chunked execution;
-        ``out`` may alias ``powers`` (the reduction lands in work buffers).
 
         The ``R @ P`` product is accumulated column by column with
-        elementwise ufuncs instead of a BLAS matmul: GEMM selects
+        elementwise operations instead of a BLAS matmul: GEMM selects
         different kernels (and rounding) by batch size, which would make
         each row's trajectory depend on how many rows happen to be in
         flight — compaction scheduling and chunk boundaries would then
         change results.  The fixed ``k``-ascending accumulation is
         bit-identical for a row whether it is solved alone, in a chunk, or
-        in the full batch.  Non-numpy namespaces run the functional mirror
-        (:meth:`_steady_targets_xp`) with the same accumulation order.
-        """
-        if not self.inplace:
-            return self._steady_targets_xp(powers, rows)
-        count, blocks = powers.shape
-        sums = _work_buffer(workspace, "st_sums", (count,), dtype=powers.dtype)
-        rises = _work_buffer(workspace, "st_rises", powers.shape, dtype=powers.dtype)
-        product = _work_buffer(
-            workspace, "st_product", powers.shape, dtype=powers.dtype
-        )
-        powers.sum(axis=1, out=sums)
-        np.multiply(self.heat_sink[rows], sums, out=sums)
-        np.multiply(powers[:, 0, np.newaxis], self._unit_matrix[:, 0], out=rises)
-        for column in range(1, blocks):
-            np.multiply(
-                powers[:, column, np.newaxis],
-                self._unit_matrix[:, column],
-                out=product,
-            )
-            np.add(rises, product, out=rises)
-        np.divide(rises, self.conductivity[rows, np.newaxis], out=rises)
-        if out is None:
-            out = np.empty(powers.shape, dtype=powers.dtype)
-        np.add(self.ambient[rows], sums, out=sums)
-        np.add(sums[:, np.newaxis], rises, out=out)
-        return out
-
-    def _steady_targets_xp(self, powers, rows):
-        """Functional mirror of the :meth:`steady_targets` ufunc chain.
-
-        Keeps the fixed column-ascending ``R @ P`` accumulation (never a
-        GEMM) so per-row results stay independent of batch size, and the
-        exact operation order of the in-place path for bit-level float64
-        parity.
+        in the full batch.
         """
         xp = self.xp
         blocks = powers.shape[1]
@@ -569,10 +459,10 @@ class ScenarioPhysics:
         sums = _take_rows(self.heat_sink, rows, xp) * xp.sum(powers, axis=1)
         rises = powers[:, 0:1] * unit[:, 0]
         for column in range(1, blocks):
-            rises = rises + powers[:, column : column + 1] * unit[:, column]
-        rises = rises / _take_rows(self.conductivity, rows, xp)[:, None]
-        sums = _take_rows(self.ambient, rows, xp) + sums
-        return sums[:, None] + rises
+            rises += powers[:, column : column + 1] * unit[:, column]
+        rises /= _take_rows(self.conductivity, rows, xp)[:, None]
+        rises += _take_rows(self.ambient, rows, xp)[:, None] + sums[:, None]
+        return rises
 
 
 @dataclass(frozen=True)
@@ -694,10 +584,28 @@ class ScenarioBatchResult:
         ]
 
 
+def require_finite(**options: Optional[float]) -> None:
+    """Reject NaN and infinite option values with an error naming the option.
+
+    Such values slip through plain ``<= 0.0`` range checks: a NaN
+    tolerance never reports a settled row, and a NaN ceiling poisons every
+    temperature.  ``None`` (an unset optional) passes.
+    """
+    for name, value in options.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def validate_fixed_point_options(
-    max_iterations: int, tolerance: float, damping: float
+    max_iterations: int,
+    tolerance: float,
+    damping: float,
+    max_temperature: float = 500.0,
 ) -> None:
     """Shared parameter validation of the batched fixed point."""
+    require_finite(
+        tolerance=tolerance, damping=damping, max_temperature=max_temperature
+    )
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
     if tolerance <= 0.0:
@@ -712,157 +620,75 @@ def solve_fixed_point(
     tolerance: float = 0.01,
     damping: float = 1.0,
     max_temperature: float = 500.0,
-    workspace: Optional[Workspace] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped fixed point over one prepared physics batch.
 
     The single implementation behind :meth:`ScenarioEngine.solve` and the
-    streaming executor (:mod:`repro.core.cosim.streaming`): both run this
-    exact code — the streaming path per chunk, with a shared
-    :class:`Workspace` — so chunked reductions are bit-identical to the
-    monolithic result by construction (each scenario row's trajectory is
-    independent of its neighbors).
+    streaming executor (:mod:`repro.core.cosim.streaming`), for every
+    array namespace: the streaming path runs it per chunk, and each
+    scenario row's trajectory is independent of its neighbors, so chunked
+    reductions are bit-identical to the monolithic result by construction.
 
-    The iteration state is double-buffered: ``temps`` views one buffer,
-    the proposed update lands in the other, and as scenarios converge the
-    surviving rows are packed back into the idle buffer, so the loop never
-    allocates per iteration when a workspace is supplied.
+    The batch iterates on the still-active rows only.  Until the first row
+    settles every row is active and the per-scenario constants are
+    selected with ``slice(None)`` (no gather); afterwards settled rows are
+    recorded on the host and compacted out of the state with a boolean
+    mask.  Bookkeeping (convergence flags, iteration counts) stays on the
+    host in numpy.
 
     Returns ``(block_temperatures, static_power, converged,
-    iteration_counts)`` with rows in the batch's scenario order.
+    iteration_counts)`` as host numpy arrays (temperatures and powers in
+    the working dtype), with rows in the batch's scenario order.
     """
-    validate_fixed_point_options(max_iterations, tolerance, damping)
-    count = physics.count
-    blocks = physics.blocks
+    validate_fixed_point_options(max_iterations, tolerance, damping, max_temperature)
     if max_temperature <= physics.ambient_ceiling:
         raise ValueError("max_temperature must exceed every ambient temperature")
-    if not physics.inplace:
-        return _solve_fixed_point_xp(
-            physics, max_iterations, tolerance, damping, max_temperature
-        )
-    ambient = physics.ambient
+    xp = physics.xp
+    count = physics.count
+    blocks = physics.blocks
     dynamic = physics.dynamic
-    dtype = ambient.dtype
 
-    temperatures = np.empty((count, blocks), dtype=dtype)
+    temperatures = np.empty((count, blocks), dtype=physics.precision.dtype_name)
     converged = np.zeros(count, dtype=bool)
     iteration_counts = np.zeros(count, dtype=int)
 
-    cur_base = _work_buffer(workspace, "fp_state_a", (count, blocks), dtype=dtype)
-    nxt_base = _work_buffer(workspace, "fp_state_b", (count, blocks), dtype=dtype)
-    cur_base[:] = ambient[:, np.newaxis]
-
-    # The batch iterates on the still-active subset only: rows are
-    # compacted away as their scenarios converge (each row's trajectory
-    # is independent, which is also what makes the result permutation
-    # invariant in the scenario order).
-    index_map = np.arange(count)
+    temps = xp.asarray(
+        xp.broadcast_to(physics.ambient[:, None], (count, blocks)), copy=True
+    )
+    ceiling = xp.asarray(max_temperature, dtype=physics.dtype)
+    rows = slice(None)
     for index in range(max_iterations):
-        rows = index_map
-        active = rows.size
-        temps = cur_base[:active]
-        powers = _work_buffer(workspace, "fp_powers", (active, blocks), dtype=dtype)
-        scratch = _work_buffer(workspace, "fp_scratch", (active, blocks), dtype=dtype)
-        physics.static_powers(temps, rows, out=scratch, workspace=workspace)
-        np.take(dynamic, rows, axis=0, out=powers)
-        np.add(powers, scratch, out=powers)
-        proposed = physics.steady_targets(
-            powers, rows, out=nxt_base[:active], workspace=workspace
-        )
-        np.multiply(damping, proposed, out=proposed)
-        np.multiply(1.0 - damping, temps, out=scratch)
-        np.add(proposed, scratch, out=proposed)
-        np.minimum(proposed, max_temperature, out=proposed)
-        np.subtract(proposed, temps, out=scratch)
-        np.abs(scratch, out=scratch)
-        change = _work_buffer(workspace, "fp_change", (active,), dtype=dtype)
-        scratch.max(axis=1, out=change)
+        # Compound assignments reuse this iteration's fresh arrays; see
+        # ScenarioPhysics.static_powers for why that is exact.
+        powers = physics.static_powers(temps, rows)
+        powers += _take_rows(dynamic, rows, xp)
+        proposed = physics.steady_targets(powers, rows)
+        proposed *= damping
+        proposed += (1.0 - damping) * temps
+        proposed = xp.minimum(proposed, ceiling)
+        change = to_numpy(xp.max(xp.abs(proposed - temps), axis=1))
         iteration_counts[rows] += 1
-        swap = True
-        if index > 0:
-            settled = change < tolerance
-            if settled.any():
-                converged[rows[settled]] = True
-                temperatures[rows[settled]] = proposed[settled]
-                keep = ~settled
-                index_map = rows[keep]
-                # Pack the survivors back into the idle buffer (``temps``
-                # storage is free once ``change`` is computed) — the
-                # proposal buffer stays the proposal buffer, so no swap.
-                np.compress(keep, proposed, axis=0, out=cur_base[: index_map.size])
-                swap = False
-        if swap:
-            cur_base, nxt_base = nxt_base, cur_base
-        if index_map.size == 0:
-            break
-    temperatures[index_map] = cur_base[: index_map.size]
+        temps = proposed
+        settled = change < tolerance
+        if index > 0 and settled.any():
+            settled_rows = _row_indices(rows, settled)
+            converged[settled_rows] = True
+            temperatures[settled_rows] = to_numpy(temps)[settled]
+            keep = ~settled
+            rows = _row_indices(rows, keep)
+            temps = _keep_rows(temps, keep, xp)
+            if rows.size == 0:
+                break
+    temperatures[rows] = to_numpy(temps)
 
     # Scenarios that hit the runaway ceiling report non-convergence, as
     # in the scalar engine.
     runaway = (temperatures >= max_temperature - 1e-9).any(axis=1)
     converged &= ~runaway
 
-    static_power = physics.static_powers(
-        temperatures, slice(None), workspace=workspace
+    static_power = to_numpy(
+        physics.static_powers(physics.cast(temperatures), slice(None))
     )
-    return temperatures, static_power, converged, iteration_counts
-
-
-def _solve_fixed_point_xp(
-    physics: ScenarioPhysics,
-    max_iterations: int,
-    tolerance: float,
-    damping: float,
-    max_temperature: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`solve_fixed_point` for namespaces without in-place ufuncs.
-
-    The same damped iteration, expressed functionally: instead of
-    compacting converged rows out of the batch, every row is iterated and
-    converged rows are held at their settled state with ``where`` masks
-    (each row's trajectory is independent, so the held rows see exactly
-    the values the compacted path would have frozen).  Bookkeeping
-    (convergence flags, iteration counts) stays on the host in numpy.
-    Returns host numpy arrays whatever namespace computed them.
-    """
-    xp = physics.xp
-    dtype = physics.dtype
-    count = physics.count
-    dynamic = physics.dynamic
-    all_rows = slice(None)
-
-    done = np.zeros(count, dtype=bool)
-    converged = np.zeros(count, dtype=bool)
-    iteration_counts = np.zeros(count, dtype=int)
-
-    temps = xp.asarray(
-        xp.broadcast_to(physics.ambient[:, None], (count, physics.blocks)),
-        copy=True,
-    )
-    ceiling = xp.asarray(max_temperature, dtype=dtype)
-    for index in range(max_iterations):
-        static = physics.static_powers(temps, all_rows)
-        powers = dynamic + static
-        proposed = physics.steady_targets(powers, all_rows)
-        proposed = damping * proposed + (1.0 - damping) * temps
-        proposed = xp.minimum(proposed, ceiling)
-        change = to_numpy(xp.max(xp.abs(proposed - temps), axis=1))
-        iteration_counts[~done] += 1
-        # Not-yet-done rows advance to the proposal (including the rows
-        # settling on this very iteration — the compacted path freezes
-        # them *at* the proposal too); done rows hold their frozen state.
-        temps = xp.where(xp.asarray(done)[:, None], temps, proposed)
-        if index > 0:
-            settled = (change < tolerance) & ~done
-            converged |= settled
-            done |= settled
-        if bool(np.all(done)):
-            break
-
-    temperatures = to_numpy(temps)
-    runaway = (temperatures >= max_temperature - 1e-9).any(axis=1)
-    converged &= ~runaway
-    static_power = to_numpy(physics.static_powers(temps, all_rows))
     return temperatures, static_power, converged, iteration_counts
 
 
@@ -895,11 +721,10 @@ class ScenarioEngine:
         Backend-specific options (the ``fdm`` grid resolution).
     array_backend:
         Array namespace the batched fixed point runs in — a registry name
-        from :data:`repro.core.backend.ARRAY_BACKENDS` (``"numpy"``,
-        ``"array_api_strict"``, ``"cupy"``, ``"jax"``).  The default
-        (``None`` → numpy) keeps the in-place buffer-reusing fast paths
-        and is bit-identical to the pre-seam engine; other namespaces run
-        functional Array-API mirrors of the same operations.
+        from :data:`repro.core.backend.ARRAY_BACKENDS` (``"numpy"`` or
+        ``"array_api_strict"``).  The default (``None`` → numpy) is
+        bit-identical to the pre-seam engine; every namespace runs the
+        same functional Array-API operations in the same order.
     precision:
         Working-precision policy name from
         :data:`repro.core.backend.PRECISIONS` (``"float64"`` default,
@@ -953,10 +778,7 @@ class ScenarioEngine:
         self._unit_matrix_host = reduced_unit_matrix(
             self.thermal_operator, floorplan, self._block_names
         )
-        if (
-            supports_inplace(self.array_namespace)
-            and self.precision.name == "float64"
-        ):
+        if self.array_namespace is np and self.precision.name == "float64":
             self._unit_matrix = self._unit_matrix_host
         else:
             self._unit_matrix = self.array_namespace.asarray(
@@ -1060,19 +882,17 @@ class ScenarioEngine:
         tolerance: float = 0.01,
         damping: float = 1.0,
         max_temperature: float = 500.0,
-        workspace: Optional[Workspace] = None,
     ) -> ScenarioBatchResult:
         """Damped fixed point for every scenario, as array operations.
 
         Parameters mirror :meth:`ElectroThermalEngine.solve`; each scenario
         converges (and freezes) independently, so results are invariant
         under permutation of the scenario list.  The loop itself lives in
-        :func:`solve_fixed_point`; pass a :class:`Workspace` to reuse work
-        buffers across repeated batches (the streaming executor does).
+        :func:`solve_fixed_point`.
         """
         if not scenarios:
             raise ValueError("at least one scenario is required")
-        validate_fixed_point_options(max_iterations, tolerance, damping)
+        validate_fixed_point_options(max_iterations, tolerance, damping, max_temperature)
         physics = ScenarioPhysics(self, scenarios)
         temperatures, static_power, converged, iteration_counts = solve_fixed_point(
             physics,
@@ -1080,7 +900,6 @@ class ScenarioEngine:
             tolerance=tolerance,
             damping=damping,
             max_temperature=max_temperature,
-            workspace=workspace,
         )
         return ScenarioBatchResult(
             scenarios=physics.scenarios,

@@ -7,11 +7,8 @@ one shot, so a 10^6–10^7-row grid swaps or OOMs long before the CPU is the
 bottleneck.  This module keeps memory flat in the grid size instead:
 
 * :class:`ChunkPlan` cuts a (possibly lazy) scenario stream into
-  fixed-size chunks and owns one
-  :class:`~repro.core.cosim.scenarios.Workspace` of preallocated work
-  buffers that every chunk reuses — the damped fixed point and the
-  exact-exponential transient update run via ``out=``/in-place ufuncs on
-  the same storage, chunk after chunk;
+  fixed-size chunks, so the solver's working set scales with the chunk
+  size, not with the grid;
 * :class:`OnlineSteadyReduction` / :class:`OnlineTransientReduction`
   accumulate the standard per-scenario metric series (peak temperature and
   rise, powers, convergence/runaway verdicts and first-crossing times,
@@ -23,7 +20,7 @@ bottleneck.  This module keeps memory flat in the grid size instead:
   when the caller does want every row on disk.
 
 Chunked execution is **bit-identical** to the monolithic path by
-construction: both run the exact same in-place update loops
+construction: both run the one implementation of each update loop
 (:func:`~repro.core.cosim.scenarios.solve_fixed_point`,
 :func:`~repro.core.cosim.transient_scenarios.integrate_relaxation`), and
 every scenario row's trajectory is independent of its neighbors, so the
@@ -44,7 +41,6 @@ from .scenarios import (
     Scenario,
     ScenarioBatchResult,
     ScenarioEngine,
-    Workspace,
     validate_fixed_point_options,
 )
 from .transient_scenarios import (
@@ -54,7 +50,7 @@ from .transient_scenarios import (
 )
 
 #: Default scenario rows per chunk for steady fixed points (a few MB of
-#: work buffers at typical block counts).
+#: per-iteration arrays at typical block counts).
 DEFAULT_CHUNK_SIZE = 65536
 
 #: Default rows per chunk for transient integrations, where each row
@@ -63,16 +59,15 @@ DEFAULT_TRANSIENT_CHUNK_SIZE = 2048
 
 
 class ChunkPlan:
-    """Fixed-size chunking of a scenario stream, with shared work buffers.
+    """Fixed-size chunking of a scenario stream.
 
     One plan drives one streamed run: :meth:`chunks` slices the scenario
     iterable into lists of at most ``chunk_size`` rows (the last chunk may
-    be shorter), and :attr:`workspace` holds the preallocated buffers the
-    per-chunk solver loops reuse via ``out=``/in-place ufuncs.  Buffers
-    are allocated in the engine's working dtype (see
-    :mod:`repro.core.backend`), so a ``precision="float32"`` policy
-    halves the streamed working-set memory too; results still leave every
-    chunk as host ``float64`` arrays.
+    be shorter).  Each chunk is solved on its own, so the solver's arrays
+    never exceed one chunk; they are allocated in the engine's working
+    dtype (see :mod:`repro.core.backend`), so a ``precision="float32"``
+    policy halves the streamed working-set memory too.  Results still
+    leave every chunk as host ``float64`` arrays.
     """
 
     def __init__(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
@@ -80,7 +75,6 @@ class ChunkPlan:
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
         self.chunk_size = chunk_size
-        self.workspace = Workspace()
 
     def chunks(self, scenarios: Iterable[Scenario]) -> Iterator[List[Scenario]]:
         """Consecutive chunks of at most :attr:`chunk_size` scenarios."""
@@ -478,8 +472,8 @@ def stream_steady(
         :func:`~repro.core.cosim.scenarios.scenario_grid_stream` (the grid
         then never exists in memory at once).
     chunk_size:
-        Rows solved per chunk; work-buffer memory scales with this, not
-        with the grid.
+        Rows solved per chunk; working memory scales with this, not with
+        the grid.
     total:
         Grid size when ``scenarios`` is an unsized iterator (required only
         for full-field retention and progress ETAs).
@@ -494,7 +488,7 @@ def stream_steady(
         Fixed-point options, exactly as
         :meth:`~repro.core.cosim.scenarios.ScenarioEngine.solve`.
     """
-    validate_fixed_point_options(max_iterations, tolerance, damping)
+    validate_fixed_point_options(max_iterations, tolerance, damping, max_temperature)
     plan = ChunkPlan(chunk_size)
     total = _known_total(scenarios, total)
     sink = _prepare_sink(keep_fields, memmap_path, total)
@@ -508,7 +502,6 @@ def stream_steady(
             tolerance=tolerance,
             damping=damping,
             max_temperature=max_temperature,
-            workspace=plan.workspace,
         )
         reduction.update(batch)
         if sink is not None:
@@ -589,7 +582,6 @@ def stream_transient(
             duration,
             time_step,
             activity=activity,
-            workspace=plan.workspace,
             # Without a known grid size the activity is scenario-uniform
             # (guarded above), so every chunk may start at row 0.
             scenario_offset=offset if total is not None else 0,

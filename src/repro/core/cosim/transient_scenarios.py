@@ -37,17 +37,19 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backend import to_numpy
+from ..backend import get_namespace, to_numpy
 from .scenarios import (
     Scenario,
     ScenarioEngine,
     ScenarioPhysics,
-    Workspace,
-    _work_buffer,
+    _keep_rows,
+    _row_indices,
+    _take_rows,
+    require_finite,
 )
 from .transient import (
     ActivityProfile,
@@ -267,13 +269,18 @@ class TraceActivity(ActivityGrid):
         return np.unique(inside)
 
 
+#: Row selector handed to the integrator's callbacks.
+RowSelector = Union[slice, np.ndarray]
+
 #: Per-step power evaluator of the generic integrator: maps (time,
-#: temperatures of the active rows, active row indices) to block powers.
-PowerEvaluator = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+#: temperatures of the active rows, active row selector) to block powers.
+#: The selector is ``slice(None)`` while every row is active and a host
+#: index array once settled rows have been compacted away.
+PowerEvaluator = Callable[[float, Any, RowSelector], Any]
 
 #: Steady-target evaluator: maps (powers of the active rows, active row
-#: indices) to the rows' steady-state block temperatures.
-TargetEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: selector) to the rows' steady-state block temperatures.
+TargetEvaluator = Callable[[Any, RowSelector], Any]
 
 
 @dataclass(frozen=True)
@@ -292,14 +299,13 @@ class IntegrationArrays:
 
 def integrate_relaxation(
     times: np.ndarray,
-    tau: np.ndarray,
-    initial: np.ndarray,
+    tau,
+    initial,
     power_fn: PowerEvaluator,
     targets_fn: TargetEvaluator,
     max_temperature: float,
     settle_tolerance: Optional[float] = None,
     settle_after: float = math.inf,
-    workspace: Optional[Workspace] = None,
 ) -> IntegrationArrays:
     """Exponential-update relaxation integration for a batch of rows.
 
@@ -316,172 +322,68 @@ def integrate_relaxation(
     trajectory is independent, so results are invariant under row
     permutation.
 
-    The update runs as one fixed in-place ufunc chain over double-buffered
-    state, so the monolithic and chunked (streaming) paths execute
-    identical floating-point operations.  When ``workspace`` is given the
-    per-step work arrays come from it (and ``targets_fn`` must accept
-    ``out=``/``workspace=`` keywords, as
-    :meth:`~repro.core.cosim.scenarios.ScenarioPhysics.steady_targets`
-    does); otherwise they are freshly allocated.
+    ``tau`` and ``initial`` are ``(rows, blocks)`` arrays of one array
+    namespace, which the state stays in; histories and the runaway/settle
+    bookkeeping live on the host.  Until the first row settles the
+    callbacks receive ``slice(None)`` as the row selector; afterwards the
+    state is compacted with a boolean mask and they receive the host
+    indices of the surviving rows.
     """
-    scenario_count, block_count = initial.shape
+    xp = get_namespace(initial)
+    host_initial = to_numpy(initial)
+    scenario_count, block_count = host_initial.shape
     step_count = len(times)
     temperatures_history = np.empty(
-        (scenario_count, step_count, block_count), dtype=initial.dtype
+        (scenario_count, step_count, block_count), dtype=host_initial.dtype
     )
     powers_history = np.empty_like(temperatures_history)
     runaway = np.zeros(scenario_count, dtype=bool)
     runaway_times = np.full(scenario_count, np.nan)
 
-    cur_base = _work_buffer(workspace, "tr_state_a", initial.shape, dtype=initial.dtype)
-    nxt_base = _work_buffer(workspace, "tr_state_b", initial.shape, dtype=initial.dtype)
-    np.copyto(cur_base, initial)
-
-    rows = np.arange(scenario_count)
+    temps = initial
+    ceiling = xp.asarray(max_temperature, dtype=initial.dtype)
+    rows: RowSelector = slice(None)
     for index, now in enumerate(times):
-        active = rows.size
-        temps = cur_base[:active]
         powers = power_fn(float(now), temps, rows)
-        temperatures_history[rows, index] = temps
-        powers_history[rows, index] = powers
+        temperatures_history[rows, index] = to_numpy(temps)
+        powers_history[rows, index] = to_numpy(powers)
         if index == step_count - 1:
             break
-        if workspace is None:
-            targets = targets_fn(powers, rows)
-        else:
-            targets = targets_fn(
-                powers,
-                rows,
-                out=workspace.buffer("tr_targets", temps.shape, temps.dtype),
-                workspace=workspace,
-            )
-        dt = times[index + 1] - now
-        decay = _work_buffer(workspace, "tr_decay", temps.shape, dtype=temps.dtype)
-        np.take(tau, rows, axis=0, out=decay)
-        np.divide(-dt, decay, out=decay)
-        np.exp(decay, out=decay)
-        updated = nxt_base[:active]
-        np.subtract(temps, targets, out=updated)
-        np.multiply(updated, decay, out=updated)
-        np.add(targets, updated, out=updated)
-        ceiling = _work_buffer(workspace, "tr_ceiling", temps.shape, dtype=bool)
-        np.greater(updated, max_temperature, out=ceiling)
-        np.minimum(updated, max_temperature, out=updated)
-        newly_runaway = ceiling.any(axis=1) & ~runaway[rows]
-        if newly_runaway.any():
-            runaway[rows[newly_runaway]] = True
-            runaway_times[rows[newly_runaway]] = times[index + 1]
-        swap = True
-        # A row may freeze only when its distance to target was measured
-        # under the final (constant) workload: the step must *start* at or
-        # after the grid's last switching instant.
-        if settle_tolerance is not None and now >= settle_after:
-            scratch = _work_buffer(
-                workspace, "tr_scratch", temps.shape, dtype=temps.dtype
-            )
-            np.subtract(updated, targets, out=scratch)
-            np.abs(scratch, out=scratch)
-            settled = scratch.max(axis=1) < settle_tolerance
-            if settled.any():
-                frozen_rows = rows[settled]
-                frozen_temps = updated[settled]
-                frozen_powers = power_fn(
-                    float(times[index + 1]), frozen_temps, frozen_rows
-                )
-                temperatures_history[frozen_rows, index + 1 :] = frozen_temps[
-                    :, np.newaxis, :
-                ]
-                powers_history[frozen_rows, index + 1 :] = frozen_powers[
-                    :, np.newaxis, :
-                ]
-                keep = ~settled
-                rows = rows[keep]
-                # Pack the survivors back into the idle buffer (``temps``
-                # storage is free once the step is recorded); the proposal
-                # buffer stays the proposal buffer, so no swap.
-                np.compress(keep, updated, axis=0, out=cur_base[: rows.size])
-                swap = False
-                if rows.size == 0:
-                    break
-        if swap:
-            cur_base, nxt_base = nxt_base, cur_base
-
-    return IntegrationArrays(
-        times=times,
-        temperatures=temperatures_history,
-        powers=powers_history,
-        runaway=runaway,
-        runaway_times=runaway_times,
-    )
-
-
-def _integrate_relaxation_xp(
-    physics: ScenarioPhysics,
-    times: np.ndarray,
-    tau,
-    initial: np.ndarray,
-    activity,
-    max_temperature: float,
-    settle_tolerance: Optional[float],
-    settle_after: float,
-    full_shape: Tuple[int, int],
-    scenario_offset: int,
-) -> IntegrationArrays:
-    """Functional Array-API mirror of :func:`integrate_relaxation`.
-
-    Runs when the physics' namespace has no ``out=`` ufunc support.  The
-    whole batch stays resident and settled rows are frozen with
-    ``xp.where`` instead of compacted out — every row still sees the same
-    per-element operations in the same order as the in-place path, so
-    float64 results match it bit for bit (rows are independent, and a row
-    freezes exactly at the proposal it would have been compacted with).
-    Histories and runaway/settle bookkeeping stay on the host; only the
-    state/target arrays live in the working namespace.
-    """
-    xp = physics.xp
-    dtype = physics.dtype
-    scenario_count, block_count = initial.shape
-    step_count = len(times)
-    temperatures_history = np.empty((scenario_count, step_count, block_count))
-    powers_history = np.empty_like(temperatures_history)
-    runaway = np.zeros(scenario_count, dtype=bool)
-    runaway_times = np.full(scenario_count, np.nan)
-    frozen = np.zeros(scenario_count, dtype=bool)
-
-    temps = physics.cast(initial)
-    ceiling = xp.asarray(max_temperature, dtype=dtype)
-    all_rows = slice(None)
-    chunk = slice(scenario_offset, scenario_offset + scenario_count)
-
-    def powers_at(now: float, state):
-        multipliers = np.broadcast_to(
-            np.asarray(activity.values(now), dtype=float), full_shape
-        )[chunk]
-        scaled = physics.dynamic * xp.asarray(multipliers, dtype=dtype)
-        return scaled + physics.static_powers(state, all_rows)
-
-    for index, now in enumerate(times):
-        powers = powers_at(float(now), temps)
-        temperatures_history[:, index] = to_numpy(temps)
-        powers_history[:, index] = to_numpy(powers)
-        if index == step_count - 1:
-            break
-        targets = physics.steady_targets(powers, all_rows)
+        targets = targets_fn(powers, rows)
         dt = float(times[index + 1] - now)
-        decay = xp.exp((-dt) / tau)
+        decay = xp.exp((-dt) / _take_rows(tau, rows, xp))
         updated = targets + (temps - targets) * decay
         clipped = to_numpy(xp.any(updated > ceiling, axis=1))
         updated = xp.minimum(updated, ceiling)
-        newly_runaway = clipped & ~runaway & ~frozen
+        newly_runaway = clipped & ~runaway[rows]
         if newly_runaway.any():
+            newly_runaway = _row_indices(rows, newly_runaway)
             runaway[newly_runaway] = True
             runaway_times[newly_runaway] = times[index + 1]
-        if frozen.any():
-            updated = xp.where(xp.asarray(frozen)[:, None], temps, updated)
-        if settle_tolerance is not None and now >= settle_after:
-            distance = to_numpy(xp.max(xp.abs(updated - targets), axis=1))
-            frozen |= ~frozen & (distance < settle_tolerance)
         temps = updated
+        # A row may freeze only when its distance to target was measured
+        # under the final (constant) workload: the step must *start* at or
+        # after the grid's last switching instant.
+        if settle_tolerance is None or now < settle_after:
+            continue
+        distance = to_numpy(xp.max(xp.abs(temps - targets), axis=1))
+        settled = distance < settle_tolerance
+        if not settled.any():
+            continue
+        frozen_rows = _row_indices(rows, settled)
+        frozen_temps = _keep_rows(temps, settled, xp)
+        frozen_powers = power_fn(float(times[index + 1]), frozen_temps, frozen_rows)
+        temperatures_history[frozen_rows, index + 1 :] = to_numpy(frozen_temps)[
+            :, np.newaxis, :
+        ]
+        powers_history[frozen_rows, index + 1 :] = to_numpy(frozen_powers)[
+            :, np.newaxis, :
+        ]
+        keep = ~settled
+        rows = _row_indices(rows, keep)
+        if rows.size == 0:
+            break
+        temps = _keep_rows(temps, keep, xp)
 
     return IntegrationArrays(
         times=times,
@@ -730,7 +632,6 @@ class TransientScenarioEngine:
         max_temperature: float = 500.0,
         settle_tolerance: Optional[float] = None,
         include_activity_edges: bool = True,
-        workspace: Optional[Workspace] = None,
         scenario_offset: int = 0,
         total_scenarios: Optional[int] = None,
     ) -> TransientBatchResult:
@@ -765,10 +666,6 @@ class TransientScenarioEngine:
         include_activity_edges:
             Union the activity grid's switching instants into the time
             grid, so piecewise-constant workloads are integrated exactly.
-        workspace:
-            Optional :class:`~repro.core.cosim.scenarios.Workspace` whose
-            preallocated buffers the integration reuses (the streaming
-            executor passes one per chunk run).
         scenario_offset, total_scenarios:
             When this batch is one chunk of a larger grid, the chunk's
             starting row and the grid's full scenario count: per-scenario
@@ -776,6 +673,12 @@ class TransientScenarioEngine:
             ...) are defined over the *full* grid and sliced here, so a
             chunked run sees exactly the monolithic workload.
         """
+        require_finite(
+            duration=duration,
+            time_step=time_step,
+            max_temperature=max_temperature,
+            settle_tolerance=settle_tolerance,
+        )
         if duration <= 0.0 or time_step <= 0.0:
             raise ValueError("duration and time_step must be positive")
         if time_step > duration:
@@ -814,56 +717,31 @@ class TransientScenarioEngine:
 
         tau = physics.cast(self._default_time_constants(physics))
         dynamic = physics.dynamic
+        xp = physics.xp
+        chunk = slice(scenario_offset, scenario_offset + physics.count)
 
-        if not physics.inplace:
-            arrays = _integrate_relaxation_xp(
-                physics,
-                times,
-                tau,
-                initial,
-                activity,
-                max_temperature,
-                settle_tolerance=settle_tolerance,
-                settle_after=activity.constant_after,
-                full_shape=full_shape,
-                scenario_offset=scenario_offset,
+        def power_fn(now: float, temps, rows: RowSelector):
+            multipliers = np.broadcast_to(
+                np.asarray(activity.values(now), dtype=float), full_shape
             )
-        else:
-            initial = physics.cast(initial)
-
-            def power_fn(
-                now: float, temps: np.ndarray, rows: np.ndarray
-            ) -> np.ndarray:
-                multipliers = np.broadcast_to(
-                    np.asarray(activity.values(now), dtype=float), full_shape
-                )[scenario_offset + rows]
-                powers = _work_buffer(
-                    workspace, "tr_powers", temps.shape, dtype=temps.dtype
-                )
-                np.take(dynamic, rows, axis=0, out=powers)
-                np.multiply(powers, multipliers, out=powers)
-                static = physics.static_powers(
-                    temps,
-                    rows,
-                    out=_work_buffer(
-                        workspace, "tr_static", temps.shape, dtype=temps.dtype
-                    ),
-                    workspace=workspace,
-                )
-                np.add(powers, static, out=powers)
-                return powers
-
-            arrays = integrate_relaxation(
-                times,
-                tau,
-                initial,
-                power_fn,
-                physics.steady_targets,
-                max_temperature,
-                settle_tolerance=settle_tolerance,
-                settle_after=activity.constant_after,
-                workspace=workspace,
+            multipliers = multipliers[
+                chunk if isinstance(rows, slice) else scenario_offset + rows
+            ]
+            scaled = _take_rows(dynamic, rows, xp) * xp.asarray(
+                multipliers, dtype=physics.dtype
             )
+            return scaled + physics.static_powers(temps, rows)
+
+        arrays = integrate_relaxation(
+            times,
+            tau,
+            physics.cast(initial),
+            power_fn,
+            physics.steady_targets,
+            max_temperature,
+            settle_tolerance=settle_tolerance,
+            settle_after=activity.constant_after,
+        )
         return TransientBatchResult(
             scenarios=physics.scenarios,
             block_names=self._block_names,

@@ -9,6 +9,7 @@ The serialization contract is property-tested with hypothesis:
   original result arrays bit-for-bit (the cache/replay guarantee).
 """
 
+import hashlib
 import json
 import math
 
@@ -855,6 +856,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="settle_tolerance"):
             _minimal_spec().replace(solver={"settle_tolerance": 0.1})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_solver_options_are_rejected(self, value):
+        for option in ("tolerance", "damping", "max_temperature"):
+            with pytest.raises(ValueError, match=f"'{option}' must be finite"):
+                _minimal_spec().replace(solver={option: value})
+        transient = _transient_study().spec
+        with pytest.raises(ValueError, match="'settle_tolerance' must be finite"):
+            transient.replace(solver={"settle_tolerance": value})
+        for field_name in ("duration", "time_step"):
+            with pytest.raises(ValueError, match=f"{field_name} must be finite"):
+                transient.replace(**{field_name: value})
+        with pytest.raises(ValueError, match="ambient_temperature must be finite"):
+            ScenarioSpec(technology="0.12um", ambient_temperature=value)
+        with pytest.raises(ValueError, match="die_width must be finite"):
+            FloorplanSpec(die_width=value)
+
     def test_unknown_spec_field_named(self):
         with pytest.raises(ValueError, match="florplan"):
             StudySpec.from_dict({"kind": "steady", "florplan": {}})
@@ -1091,6 +1108,69 @@ class TestCLI:
             spec = StudySpec.from_json(examples / f"{name}.json")
             result = run_study(spec.replace(label=spec.label or name))
             assert result.kind == spec.kind
+
+
+#: SHA-256 over the result arrays of the shipped example studies, recorded
+#: before the scenario engines' in-place loops were folded into their
+#: functional twins.  They pin the numpy results themselves, which the
+#: namespace-parity suite (one implementation under two namespaces) cannot.
+GOLDEN_DIGESTS = {
+    "study_steady": "d3b5ea8955a22282a238af73cc4b3021b5db46c6e5662e59ae598e7ca03d09f6",
+    "study_transient": (
+        "62835eac3d808dc1573711b59e8493fd886a90b49ef3665b18d366b23d631a6a"
+    ),
+    "study_streamed_grid": (
+        "7fbbb5ffcd336f98fe7f3034567a457cbfed533636bc48234bf67939a9d7939b"
+    ),
+    "study_steady_float32": (
+        "0e109cbf431a3ace17c8b3772b70f5f7b9289a2bb50792e30339b62bd5c22fca"
+    ),
+}
+
+#: SHA-256 of the elementwise math kernels those studies use, on fixed
+#: inputs, where the digests were recorded (numpy 2.4, x86-64 AVX-512).
+#: numpy dispatches ``exp``/``log``/``arcsinh`` to different SIMD or libm
+#: code per CPU and release, which may round the last bit differently.
+GOLDEN_MATH_KERNELS = "4a190c74e9e4bc6d4e485e1f9bef9b086c349516dcb00e1fc374c65ba25745b9"
+
+
+def _math_kernel_digest() -> str:
+    x = np.linspace(-40.0, 40.0, 8001)
+    digest = hashlib.sha256()
+    for values in (
+        np.exp(x),
+        np.log(np.abs(x) + 1e-3),
+        np.log1p(np.abs(x)),
+        np.arcsinh(x),
+        np.exp(x.astype(np.float32)),
+    ):
+        digest.update(values.tobytes())
+    return digest.hexdigest()
+
+
+def _result_digest(result: StudyResult) -> str:
+    digest = hashlib.sha256()
+    for name in sorted(result.arrays):
+        array = np.ascontiguousarray(result.arrays[name])
+        digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.skipif(
+    _math_kernel_digest() != GOLDEN_MATH_KERNELS,
+    reason="numpy's exp/log/arcsinh round differently here than where the "
+    "golden digests were recorded",
+)
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_example_study_results_match_golden_digests(name):
+    from pathlib import Path
+
+    examples = Path(__file__).resolve().parents[1] / "examples"
+    study = Study.from_json(examples / f"{name.removesuffix('_float32')}.json")
+    if name.endswith("_float32"):
+        study = study.with_precision("float32")
+    assert _result_digest(study.run()) == GOLDEN_DIGESTS[name]
 
 
 def test_transient_workload_none_means_nominal():

@@ -10,6 +10,8 @@ permutation of the scenario order (each row's trajectory is independent).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -127,6 +129,10 @@ class TestEngineConstruction:
             engine.solve([scenario], damping=1.5)
         with pytest.raises(ValueError):
             engine.solve([scenario], max_temperature=200.0)
+        for value in (math.nan, math.inf, -math.inf):
+            for option in ("tolerance", "damping", "max_temperature"):
+                with pytest.raises(ValueError, match=f"{option} must be finite"):
+                    engine.solve([scenario], **{option: value})
 
 
 class TestScalarParity:

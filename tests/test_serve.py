@@ -331,6 +331,17 @@ class TestHTTPServer:
         assert excinfo.value.body["error"]["field"] == "kind"
         assert "nonsense" in excinfo.value.body["error"]["message"]
 
+    def test_non_finite_solver_option_yields_400_naming_it(self, http_service):
+        host, port, _ = http_service
+        bad = steady_spec().to_dict()
+        bad["solver"] = {"tolerance": float("nan")}
+        with StudyClient(host, port, timeout=60.0) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.run(bad)
+        assert excinfo.value.status == 400
+        assert excinfo.value.body["error"]["field"] == "tolerance"
+        assert "finite" in excinfo.value.body["error"]["message"]
+
     def test_non_json_body_and_unknown_route_are_4xx(self, http_service):
         host, port, _ = http_service
         from http.client import HTTPConnection

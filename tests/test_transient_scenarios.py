@@ -11,6 +11,8 @@ PR's acceptance criterion), approach the steady-state
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -339,6 +341,13 @@ class TestResultContainer:
             engine.simulate(grid, duration=1e-3, time_step=1e-4, settle_tolerance=0.0)
         with pytest.raises(ValueError):
             engine.simulate([], duration=1e-3, time_step=1e-4)
+        options = {"duration": 1e-3, "time_step": 1e-4}
+        for value in (math.nan, math.inf, -math.inf):
+            for option in (
+                "duration", "time_step", "max_temperature", "settle_tolerance"
+            ):
+                with pytest.raises(ValueError, match=f"{option} must be finite"):
+                    engine.simulate(grid, **{**options, option: value})
         with pytest.raises(KeyError):
             engine.simulate(
                 grid,

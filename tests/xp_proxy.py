@@ -1,15 +1,15 @@
 """A minimal non-numpy Array-API namespace for exercising the ``xp`` seam.
 
 ``array_api_strict`` (the reference implementation) is an optional CI-only
-dependency, so the local suite needs its own way to prove the generic
-(functional) code paths run and agree with the in-place numpy fast paths.
+dependency, so the local suite needs its own way to prove the engines'
+functional loops stay within the Array-API surface and agree with numpy.
 This module wraps every numpy array in :class:`ProxyArray` — an object that
 is *not* an ``np.ndarray`` and whose ``__array_namespace__`` resolves to
 :data:`xp_proxy` rather than numpy — while delegating all arithmetic to
-numpy underneath.  Engines and kernels therefore take their Array-API
-branches (``supports_inplace`` is False, ``get_namespace`` returns the
-proxy), yet compute bit-identical float64 results, which the parity tests
-assert exactly.
+numpy underneath.  Engines and kernels therefore take every non-numpy
+branch (``get_namespace`` returns the proxy, ``xp is np`` is False), yet
+compute bit-identical float64 results, which the parity tests assert
+exactly.
 
 Only the Array-API surface the repro kernels/engines actually use is
 implemented; growing it is intentional when the seam grows.
