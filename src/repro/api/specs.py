@@ -2,21 +2,38 @@
 
 Every spec in this module is a frozen dataclass describing *what* to
 compute, never *how*: technology nodes are named, floorplans are plain
-geometry, workloads are parameter dictionaries.  Each spec
+geometry, workloads are parameter dictionaries.  The spec classes carry
+no serialization or validation code of their own; one field-driven
+mechanism, installed by the :func:`_spec` class decorator, serves them
+all:
 
-* validates eagerly on construction, reporting the offending field in a
-  :class:`ValueError`;
-* round-trips through plain data — ``spec.to_dict()`` /
-  ``Spec.from_dict(data)`` and ``spec.to_json()`` / ``Spec.from_json(text)``
-  reproduce an *equal* spec (the property pinned by ``tests/test_api.py``);
-* knows how to ``build()`` the corresponding runtime object (a
-  :class:`~repro.technology.parameters.TechnologyParameters`, a
-  :class:`~repro.floorplan.floorplan.Floorplan`, an
-  :class:`~repro.core.cosim.transient_scenarios.ActivityGrid`, a
-  :class:`~repro.core.cosim.scenarios.Scenario`).
+* **Codec.**  :meth:`_Spec.to_dict` walks the dataclass fields and writes
+  a field only when it differs from its default, except for the few each
+  class names as *always written* (``TechnologySpec.node``, the die size
+  and blocks of a ``FloorplanSpec``, ``WorkloadSpec.kind``,
+  ``ScenarioSpec.technology``, ``ScenarioGridSpec.technologies``, every
+  ``OptimizeVariable`` field, and ``StudySpec.kind``/``floorplan``).
+  :meth:`_Spec.from_dict` rejects unknown keys and calls the constructor,
+  so ``from_dict(to_dict(spec)) == spec`` (pinned by ``tests/test_api.py``)
+  and :meth:`_Spec.canonical_json` is a stable content address.
+* **Validators.**  Each class lists one checker per field in ``_CHECKS``;
+  construction runs them in field order, normalizing the value (tuples,
+  floats, read-only mappings) or raising a :class:`ValueError` that names
+  the field, then runs the class's cross-field ``_validate``.  Checkers
+  are built from a handful of shared primitives (:func:`_choice`,
+  :func:`_number`, :func:`_positive_number`, ``validated_int``) applied
+  per field and per sequence entry.
+* **Kind rules.**  :data:`KIND_FIELDS` says which study kinds accept each
+  :class:`StudySpec` field; a field counts as set when it differs from
+  its default, the same test the codec uses.
 
-:class:`StudySpec` composes them into one complete, executable description
-of a steady, transient, thermal-map, sweep or optimize study —
+Each spec also knows how to ``build()`` its runtime object (a
+:class:`~repro.technology.parameters.TechnologyParameters`, a
+:class:`~repro.floorplan.floorplan.Floorplan`, an
+:class:`~repro.core.cosim.transient_scenarios.ActivityGrid`, a
+:class:`~repro.core.cosim.scenarios.Scenario`).  :class:`StudySpec`
+composes them into one complete, executable description of a steady,
+transient, thermal-map, sweep or optimize study —
 :func:`repro.api.study.run_study` is its interpreter.
 """
 
@@ -26,11 +43,12 @@ import hashlib
 import json
 import math
 from collections import abc
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -68,18 +86,138 @@ from .kinds import (
     WORKLOAD_KINDS,
 )
 
-#: Solver options each study kind forwards to its engine.
-_SOLVER_KEYS: Dict[str, Tuple[str, ...]] = {
-    "steady": ("max_iterations", "tolerance", "damping", "max_temperature"),
-    "sweep": ("max_iterations", "tolerance", "damping", "max_temperature"),
-    "optimize": ("max_iterations", "tolerance", "damping", "max_temperature"),
-    "transient": (
-        "max_temperature",
-        "settle_tolerance",
-        "include_activity_edges",
-    ),
-    "thermal_map": (),
-}
+#: A field checker: ``check(value, label)`` returns the normalized value or
+#: raises a :class:`ValueError` naming ``label``.
+_Check = Callable[[Any, str], Any]
+
+
+class SpecTypeError(TypeError, ValueError):
+    """A value of the wrong type where a spec (or block) was expected.
+
+    A :class:`TypeError` for Python callers handing in the wrong object,
+    and a :class:`ValueError` so that malformed JSON is reported like any
+    other invalid field (``repro serve`` answers 400, not 500).
+    """
+
+
+# --------------------------------------------------------------------- #
+# Shared checkers
+# --------------------------------------------------------------------- #
+def _choice(known: Sequence[str], noun: str, plural: str) -> _Check:
+    """A checker accepting one of ``known``; its error lists them all."""
+
+    def check(value: Any, label: str) -> str:
+        if isinstance(value, str) and value in known:
+            return value
+        raise ValueError(
+            f"unknown {noun} {value!r}; known {plural}: {', '.join(known)}"
+        )
+
+    return check
+
+
+def _number(value: Any, label: str, non_negative: bool = False) -> float:
+    """``value`` as a finite float (and ``>= 0`` if asked), or a ValueError.
+
+    Booleans and strings are wrong JSON types here, not numbers.
+    """
+    try:
+        if isinstance(value, (bool, str, bytes)):
+            raise TypeError
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{label} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{label} must be finite, got {value!r}")
+    if non_negative and number < 0.0:
+        raise ValueError(f"{label} must be non-negative")
+    return number
+
+
+def _non_negative(value: Any, label: str) -> float:
+    return _number(value, label, non_negative=True)
+
+
+def _positive_number(value: Any, label: str) -> float:
+    """``value`` as a finite positive float, or a ValueError naming ``label``."""
+    number = _number(value, label)
+    if number <= 0.0:
+        raise ValueError(f"{label} must be positive")
+    return number
+
+
+def _integer(minimum: int) -> _Check:
+    """A checker accepting exact integers ``>= minimum``."""
+    return lambda value, label: validated_int(value, label, minimum)
+
+
+def _flag(value: Any, label: str) -> bool:
+    if isinstance(value, bool) or getattr(value, "dtype", None) == bool:
+        return bool(value)
+    raise ValueError(f"{label} must be true or false, got {value!r}")
+
+
+def _text(value: Any, label: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{label} must be a string")
+    return value
+
+
+def _path(value: Any, label: str) -> str:
+    if not isinstance(value, (str, Path)):
+        raise ValueError(f"{label} must be a directory path, got {value!r}")
+    return str(value)
+
+
+def _optional(check: _Check) -> _Check:
+    """``check``, letting ``None`` through unchanged."""
+    return lambda value, label: None if value is None else check(value, label)
+
+
+def _sequence(check: _Check, noun: str, nonempty: bool = False) -> _Check:
+    """A checker for a sequence whose every entry passes ``check``."""
+
+    def entries(value: Any, label: str) -> tuple:
+        if isinstance(value, (str, bytes, abc.Mapping)) or not isinstance(
+            value, abc.Iterable
+        ):
+            raise ValueError(f"{label} must be a sequence of {noun}s, got {value!r}")
+        result = tuple(check(entry, label) for entry in value)
+        if nonempty and not result:
+            raise ValueError(f"{label} must name at least one {noun}")
+        return result
+
+    return entries
+
+
+def _mapping(check: _Check, keys: Optional[Sequence[str]] = None) -> _Check:
+    """A checker for a string-keyed mapping whose values pass ``check``.
+
+    ``None`` reads as an empty mapping; ``keys`` restricts the allowed
+    keys.  The result is a read-only view: spec fields must stay immutable
+    so that a :class:`~repro.api.study.Study`'s cached compilation can
+    never desync from its spec.
+    """
+
+    def mapping(value: Any, label: str) -> Mapping[str, Any]:
+        if value is None:
+            value = {}
+        if not isinstance(value, abc.Mapping):
+            raise ValueError(f"{label} must be a mapping of names to values")
+        for key in value:
+            if not isinstance(key, str):
+                raise ValueError(f"{label} keys must be names, got {key!r}")
+        unknown = sorted(set(value) - set(keys)) if keys is not None else ()
+        if unknown:
+            raise ValueError(
+                f"unknown {label} key(s) {', '.join(map(repr, unknown))}; "
+                f"allowed: {', '.join(keys)}"
+            )
+        return MappingProxyType(
+            {key: check(entry, f"{label}[{key!r}]") for key, entry in value.items()}
+        )
+
+    return mapping
 
 
 def _freeze(value: Any, label: str) -> Any:
@@ -108,51 +246,33 @@ def _freeze(value: Any, label: str) -> Any:
     raise ValueError(f"{label} must be plain data (numbers, strings, lists, dicts)")
 
 
-def _power_map(value: Optional[Mapping[str, float]], label: str) -> Mapping[str, float]:
-    """Validate a per-block power/float mapping.
-
-    Returns a read-only view: spec fields must stay immutable so that a
-    :class:`~repro.api.study.Study`'s cached compilation can never desync
-    from its spec.
-    """
-    if value is None:
-        return MappingProxyType({})
+def _plain_mapping(value: Any, label: str) -> Mapping[str, Any]:
+    """A read-only :func:`_freeze` of a mapping of options."""
     if not isinstance(value, abc.Mapping):
-        raise ValueError(f"{label} must be a mapping of block name to value")
-    result = {}
-    for key, entry in value.items():
-        if not isinstance(key, str):
-            raise ValueError(f"{label} keys must be block names, got {key!r}")
-        try:
-            result[key] = float(entry)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{label}[{key!r}] must be a number, got {entry!r}"
-            ) from None
-    return MappingProxyType(result)
+        raise ValueError(f"{label} must be a mapping")
+    return MappingProxyType(_freeze(dict(value), label))
 
 
-def _positive_number(value: Any, label: str) -> float:
-    """``value`` as a finite positive float, or a ValueError naming ``label``."""
+def _activity(value: Any, label: str) -> Union[float, Mapping[str, float]]:
+    """A non-negative activity factor, scalar or per block."""
+    if isinstance(value, abc.Mapping):
+        return _mapping(_non_negative)(value, label)
+    return _non_negative(value, label)
+
+
+def _block(value: Any, label: str) -> Block:
     try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{label} must be a number, got {value!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{label} must be finite, got {value!r}")
-    if value <= 0.0:
-        raise ValueError(f"{label} must be positive")
-    return value
+        return as_block(value)
+    except TypeError as error:
+        raise SpecTypeError(f"{label}: {error}") from None
 
 
-def _reject_unknown_keys(cls, data: Mapping[str, Any]) -> None:
-    known = {spec.name for spec in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValueError(
-            f"{cls.__name__} has no field(s) {', '.join(map(repr, unknown))}; "
-            f"known fields: {', '.join(sorted(known))}"
-        )
+_numbers = _mapping(_number)
+
+
+def _nested(cls: type) -> _Check:
+    """A checker coercing a field into the spec class ``cls``."""
+    return lambda value, label: _as_spec(cls, value, label)
 
 
 def load_json_object(source: Union[str, Path], owner: str) -> Dict[str, Any]:
@@ -174,12 +294,77 @@ def load_json_object(source: Union[str, Path], owner: str) -> Dict[str, Any]:
     return data
 
 
-class _SpecSerialization:
-    """Shared JSON plumbing: every spec serializes via ``to_dict``."""
+# --------------------------------------------------------------------- #
+# The shared codec
+# --------------------------------------------------------------------- #
+#: Default placeholder of an always-written field: unequal to every value.
+_ALWAYS = object()
 
-    def to_dict(self) -> Dict[str, Any]:  # pragma: no cover - overridden
-        """The spec as plain data, defaults omitted (each subclass defines it)."""
-        raise NotImplementedError
+#: Value types :func:`_to_plain` passes through unchanged.
+_SCALARS = frozenset((str, float, int, bool, type(None)))
+
+
+def _to_plain(value: Any) -> Any:
+    """A field value as JSON-ready plain data (specs and blocks as dicts)."""
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, _Spec):
+        return value.to_dict()
+    if isinstance(value, Block):
+        return value.as_dict()
+    if isinstance(value, tuple):
+        return [_to_plain(entry) for entry in value]
+    if isinstance(value, abc.Mapping):
+        return {key: _to_plain(entry) for key, entry in value.items()}
+    return value
+
+
+class _Spec:
+    """Codec, validation and JSON plumbing shared by every spec class."""
+
+    #: Field name -> default (``_ALWAYS`` for always-written fields); set
+    #: by :func:`_spec`.
+    _DEFAULTS: Dict[str, Any] = {}
+    #: Field name -> checker, run in order on construction.
+    _CHECKS: Dict[str, _Check] = {}
+    #: ``(type, description, convert)`` inputs the class's ``as_*``
+    #: coercer accepts besides the spec itself and a mapping.
+    _ACCEPTS: Tuple[Tuple[type, str, Callable[[Any], Any]], ...] = ()
+    #: ``(type, reason)``: a built runtime object refused with a reason.
+    _REFUSES: Optional[Tuple[type, str]] = None
+
+    def __post_init__(self) -> None:
+        for name, check in self._CHECKS.items():
+            object.__setattr__(self, name, check(getattr(self, name), name))
+        self._validate()
+
+    def _validate(self) -> None:
+        """Cross-field rules, run after every field passed its checker."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The spec as plain data: default-valued fields are omitted,
+        except the class's always-written ones."""
+        return self._plain_fields(self._DEFAULTS)
+
+    def _plain_fields(self, names: Iterable[str]) -> Dict[str, Any]:
+        """:meth:`to_dict` restricted to ``names``, in their order."""
+        values, defaults = self.__dict__, self._DEFAULTS
+        return {
+            name: _to_plain(value)
+            for name in names
+            if (value := values[name]) != defaults[name]
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        """Rebuild (and re-validate) a spec from :meth:`to_dict` data."""
+        unknown = sorted(set(data) - set(cls._DEFAULTS), key=str)
+        if unknown:
+            raise ValueError(
+                f"{cls.__name__} has no field(s) {', '.join(map(repr, unknown))}; "
+                f"known fields: {', '.join(sorted(cls._DEFAULTS))}"
+            )
+        return cls(**data)
 
     def to_json(self, path: Optional[Union[str, Path]] = None, indent: int = 2) -> str:
         """Serialize to a JSON string, optionally writing it to ``path``."""
@@ -211,12 +396,66 @@ class _SpecSerialization:
     @classmethod
     def from_json(cls, source: Union[str, Path]):
         """Parse a spec from a JSON string or a path to a JSON file."""
-        data = load_json_object(source, cls.__name__)
-        return cls.from_dict(data)  # type: ignore[attr-defined]
+        return cls.from_dict(load_json_object(source, cls.__name__))
 
 
-@dataclass(frozen=True)
-class TechnologySpec(_SpecSerialization):
+def _default(spec: Field) -> Any:
+    if spec.default is MISSING:
+        return spec.default_factory()
+    return spec.default
+
+
+def _spec(*always: str):
+    """Class decorator: a frozen dataclass carrying the shared codec.
+
+    ``always`` names the fields :meth:`_Spec.to_dict` writes even at their
+    default.  Each class gets its own ``from_dict`` classmethod object, so
+    that it can be wrapped per class (as the benchmark tracer does).
+    """
+
+    def decorate(cls):
+        cls = dataclass(frozen=True)(cls)
+        cls._DEFAULTS = {
+            spec.name: _ALWAYS if spec.name in always else _default(spec)
+            for spec in fields(cls)
+        }
+        cls.from_dict = classmethod(_Spec.from_dict.__func__)
+        return cls
+
+    return decorate
+
+
+def _as_spec(cls: type, value: Any, label: Optional[str] = None):
+    """Coerce ``value`` into the spec class ``cls`` (the ``as_*`` helpers).
+
+    ``label`` names the field being coerced in the error message.
+    """
+    if isinstance(value, cls):
+        return value
+    if isinstance(value, abc.Mapping):
+        return cls.from_dict(value)
+    for kind, _, convert in cls._ACCEPTS:
+        if isinstance(value, kind):
+            return convert(value)
+    if cls._REFUSES is not None and isinstance(value, cls._REFUSES[0]):
+        message = (
+            f"pass a {cls.__name__} (declarative) rather than a built "
+            f"{type(value).__name__}; {cls._REFUSES[1]}"
+        )
+    else:
+        expected = ", ".join([cls.__name__, *(what for _, what, _ in cls._ACCEPTS)])
+        message = (
+            f"cannot interpret {type(value).__name__!r} as a {cls.__name__}; "
+            f"expected {expected} or mapping"
+        )
+    raise SpecTypeError(f"{label}: {message}" if label else message)
+
+
+# --------------------------------------------------------------------- #
+# Spec classes
+# --------------------------------------------------------------------- #
+@_spec("node")
+class TechnologySpec(_Spec):
     """A predefined CMOS technology node plus its thermal environment.
 
     Attributes
@@ -231,49 +470,24 @@ class TechnologySpec(_SpecSerialization):
     node: str = "0.12um"
     ambient_celsius: float = 25.0
 
-    def __post_init__(self) -> None:
-        if self.node not in node_names():
-            known = ", ".join(node_names())
-            raise ValueError(
-                f"unknown technology node {self.node!r}; known nodes: {known}"
-            )
-        object.__setattr__(self, "ambient_celsius", float(self.ambient_celsius))
+    _CHECKS = {
+        "node": _choice(node_names(), "technology node", "nodes"),
+        "ambient_celsius": _number,
+    }
+    _ACCEPTS = ((str, "node name", lambda node: TechnologySpec(node=node)),)
 
     def build(self) -> TechnologyParameters:
         """Materialize the node's :class:`TechnologyParameters`."""
         return make_technology(self.node, ambient_celsius=self.ambient_celsius)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """The spec as plain data, defaults omitted (minimal JSON)."""
-        data: Dict[str, Any] = {"node": self.node}
-        if self.ambient_celsius != 25.0:
-            data["ambient_celsius"] = self.ambient_celsius
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TechnologySpec":
-        """Rebuild (and re-validate) a spec from :meth:`to_dict` data."""
-
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
-
 
 def as_technology_spec(value) -> TechnologySpec:
     """Coerce a node name / mapping / spec into a :class:`TechnologySpec`."""
-    if isinstance(value, TechnologySpec):
-        return value
-    if isinstance(value, str):
-        return TechnologySpec(node=value)
-    if isinstance(value, abc.Mapping):
-        return TechnologySpec.from_dict(value)
-    raise TypeError(
-        f"cannot interpret {type(value).__name__!r} as a technology spec; "
-        "expected TechnologySpec, node name or mapping"
-    )
+    return _as_spec(TechnologySpec, value)
 
 
-@dataclass(frozen=True)
-class FloorplanSpec(_SpecSerialization):
+@_spec("die_width", "die_length", "die_thickness", "blocks")
+class FloorplanSpec(_Spec):
     """Declarative die floorplan: geometry plus a tuple of blocks.
 
     ``blocks`` entries may be :class:`~repro.floorplan.block.Block`
@@ -289,17 +503,19 @@ class FloorplanSpec(_SpecSerialization):
     name: str = "floorplan"
     allow_overlaps: bool = False
 
-    def __post_init__(self) -> None:
-        for label in ("die_width", "die_length", "die_thickness"):
-            value = getattr(self, label)
-            object.__setattr__(self, label, _positive_number(value, label))
-        if not isinstance(self.blocks, abc.Iterable) or isinstance(self.blocks, str):
-            raise ValueError("blocks must be a sequence of block descriptions")
-        object.__setattr__(
-            self, "blocks", tuple(as_block(block) for block in self.blocks)
-        )
-        if not self.blocks:
-            raise ValueError("blocks must name at least one block")
+    _CHECKS = {
+        "die_width": _positive_number,
+        "die_length": _positive_number,
+        "die_thickness": _positive_number,
+        "blocks": _sequence(_block, "block description", nonempty=True),
+        "name": _text,
+        "allow_overlaps": _flag,
+    }
+    _ACCEPTS = (
+        (Floorplan, "Floorplan", lambda plan: FloorplanSpec.from_floorplan(plan)),
+    )
+
+    def _validate(self) -> None:
         self.build()  # validates fit and overlaps eagerly
 
     @classmethod
@@ -330,40 +546,10 @@ class FloorplanSpec(_SpecSerialization):
             die, self.blocks, name=self.name, allow_overlaps=self.allow_overlaps
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """The spec as plain data, defaults omitted (minimal JSON)."""
-        data: Dict[str, Any] = {
-            "die_width": self.die_width,
-            "die_length": self.die_length,
-            "die_thickness": self.die_thickness,
-            "blocks": [block.as_dict() for block in self.blocks],
-        }
-        if self.name != "floorplan":
-            data["name"] = self.name
-        if self.allow_overlaps:
-            data["allow_overlaps"] = True
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FloorplanSpec":
-        """Rebuild (and re-validate) a spec from :meth:`to_dict` data."""
-
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
-
 
 def as_floorplan_spec(value) -> FloorplanSpec:
     """Coerce a floorplan / mapping / spec into a :class:`FloorplanSpec`."""
-    if isinstance(value, FloorplanSpec):
-        return value
-    if isinstance(value, Floorplan):
-        return FloorplanSpec.from_floorplan(value)
-    if isinstance(value, abc.Mapping):
-        return FloorplanSpec.from_dict(value)
-    raise TypeError(
-        f"cannot interpret {type(value).__name__!r} as a floorplan spec; "
-        "expected FloorplanSpec, Floorplan or mapping"
-    )
+    return _as_spec(FloorplanSpec, value)
 
 
 #: Required / optional parameter names per workload kind.
@@ -375,8 +561,8 @@ _WORKLOAD_PARAMETERS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class WorkloadSpec(_SpecSerialization):
+@_spec("kind")
+class WorkloadSpec(_Spec):
     """Declarative transient workload, built into an :class:`ActivityGrid`.
 
     Attributes
@@ -392,14 +578,13 @@ class WorkloadSpec(_SpecSerialization):
     kind: str = "constant"
     parameters: Dict[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.kind not in WORKLOAD_KINDS:
-            raise ValueError(
-                f"unknown workload kind {self.kind!r}; "
-                f"known kinds: {', '.join(WORKLOAD_KINDS)}"
-            )
-        if not isinstance(self.parameters, abc.Mapping):
-            raise ValueError("parameters must be a mapping")
+    _CHECKS = {
+        "kind": _choice(WORKLOAD_KINDS, "workload kind", "kinds"),
+        "parameters": _plain_mapping,
+    }
+    _REFUSES = (ActivityGrid, "activity grids are not serializable")
+
+    def _validate(self) -> None:
         required, optional = _WORKLOAD_PARAMETERS[self.kind]
         allowed = set(required) | set(optional)
         missing = [name for name in required if name not in self.parameters]
@@ -414,11 +599,6 @@ class WorkloadSpec(_SpecSerialization):
                 f"{self.kind!r} workload has unknown parameter(s): "
                 f"{', '.join(unknown)}; allowed: {', '.join(sorted(allowed))}"
             )
-        object.__setattr__(
-            self,
-            "parameters",
-            MappingProxyType(_freeze(dict(self.parameters), "parameters")),
-        )
         self.build()  # validate parameter values eagerly
 
     def build(self) -> ActivityGrid:
@@ -431,40 +611,14 @@ class WorkloadSpec(_SpecSerialization):
         }
         return grids[self.kind](**self.parameters)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """The spec as plain data, defaults omitted (minimal JSON)."""
-        data: Dict[str, Any] = {"kind": self.kind}
-        if self.parameters:
-            data["parameters"] = _to_plain(self.parameters)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
-        """Rebuild (and re-validate) a spec from :meth:`to_dict` data."""
-
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
-
 
 def as_workload_spec(value) -> Optional[WorkloadSpec]:
     """Coerce a workload description into a :class:`WorkloadSpec`."""
-    if value is None or isinstance(value, WorkloadSpec):
-        return value
-    if isinstance(value, abc.Mapping):
-        return WorkloadSpec.from_dict(value)
-    if isinstance(value, ActivityGrid):
-        raise TypeError(
-            "pass a WorkloadSpec (declarative) rather than a built "
-            f"{type(value).__name__}; activity grids are not serializable"
-        )
-    raise TypeError(
-        f"cannot interpret {type(value).__name__!r} as a workload spec; "
-        "expected WorkloadSpec or mapping"
-    )
+    return None if value is None else _as_spec(WorkloadSpec, value)
 
 
-@dataclass(frozen=True)
-class ScenarioSpec(_SpecSerialization):
+@_spec("technology")
+class ScenarioSpec(_Spec):
     """One declarative operating condition.
 
     The serializable counterpart of
@@ -481,36 +635,27 @@ class ScenarioSpec(_SpecSerialization):
     activity: Union[float, Dict[str, float]] = 1.0
     label: str = ""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "technology", as_technology_spec(self.technology))
+    _CHECKS = {
+        "technology": _nested(TechnologySpec),
+        "supply_scale": _optional(_positive_number),
+        "supply_voltage": _optional(_positive_number),
+        "ambient_temperature": _optional(_positive_number),
+        "activity": _activity,
+        "label": _text,
+    }
+    _REFUSES = (
+        Scenario,
+        "scenarios embed a full TechnologyParameters object and are not "
+        "serializable",
+    )
+
+    def _validate(self) -> None:
         if self.supply_scale is not None and self.supply_voltage is not None:
             raise ValueError(
                 "give supply_scale or supply_voltage, not both "
                 f"(got supply_scale={self.supply_scale!r}, "
                 f"supply_voltage={self.supply_voltage!r})"
             )
-        for label in ("supply_scale", "supply_voltage", "ambient_temperature"):
-            value = getattr(self, label)
-            if value is None:
-                continue
-            object.__setattr__(self, label, _positive_number(value, label))
-        if isinstance(self.activity, abc.Mapping):
-            object.__setattr__(self, "activity", _power_map(self.activity, "activity"))
-            if any(value < 0.0 for value in self.activity.values()):
-                raise ValueError("activity factors must be non-negative")
-        else:
-            try:
-                activity = float(self.activity)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"activity must be a number or per-block mapping, "
-                    f"got {self.activity!r}"
-                ) from None
-            if activity < 0.0:
-                raise ValueError("activity must be non-negative")
-            object.__setattr__(self, "activity", activity)
-        if not isinstance(self.label, str):
-            raise ValueError("label must be a string")
 
     def build(
         self,
@@ -574,50 +719,14 @@ class ScenarioSpec(_SpecSerialization):
             for activity in tuple(activities)
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """The spec as plain data, defaults omitted (minimal JSON)."""
-        data: Dict[str, Any] = {"technology": self.technology.to_dict()}
-        for label in ("supply_scale", "supply_voltage", "ambient_temperature"):
-            value = getattr(self, label)
-            if value is not None:
-                data[label] = value
-        if self.activity != 1.0:
-            activity = self.activity
-            if isinstance(activity, abc.Mapping):
-                activity = dict(activity)
-            data["activity"] = activity
-        if self.label:
-            data["label"] = self.label
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Rebuild (and re-validate) a spec from :meth:`to_dict` data."""
-
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
-
 
 def as_scenario_spec(value) -> ScenarioSpec:
     """Coerce a scenario description into a :class:`ScenarioSpec`."""
-    if isinstance(value, ScenarioSpec):
-        return value
-    if isinstance(value, abc.Mapping):
-        return ScenarioSpec.from_dict(value)
-    if isinstance(value, Scenario):
-        raise TypeError(
-            "pass a ScenarioSpec (declarative) rather than a built Scenario; "
-            "scenarios embed a full TechnologyParameters object and are not "
-            "serializable"
-        )
-    raise TypeError(
-        f"cannot interpret {type(value).__name__!r} as a scenario spec; "
-        "expected ScenarioSpec or mapping"
-    )
+    return _as_spec(ScenarioSpec, value)
 
 
-@dataclass(frozen=True)
-class ScenarioGridSpec(_SpecSerialization):
+@_spec("technologies")
+class ScenarioGridSpec(_Spec):
     """Compact cross product of the four scenario axes.
 
     The constant-size counterpart of a tuple of :class:`ScenarioSpec`: the
@@ -635,71 +744,16 @@ class ScenarioGridSpec(_SpecSerialization):
     ambient_temperatures: Tuple[Optional[float], ...] = (None,)
     activities: Tuple[Union[float, Mapping[str, float]], ...] = (1.0,)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.technologies, abc.Iterable) or isinstance(
-            self.technologies, (str, abc.Mapping)
-        ):
-            raise ValueError(
-                "technologies must be a sequence of technology descriptions"
-            )
-        object.__setattr__(
-            self,
-            "technologies",
-            tuple(as_technology_spec(value) for value in self.technologies),
-        )
-        if not self.technologies:
-            raise ValueError("at least one technology is required")
-        scales = []
-        for value in tuple(self.supply_scales):
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"supply_scales entries must be numbers, got {value!r}"
-                ) from None
-            if value <= 0.0:
-                raise ValueError("supply_scales must be positive")
-            scales.append(value)
-        if not scales:
-            raise ValueError("supply_scales must name at least one scale")
-        object.__setattr__(self, "supply_scales", tuple(scales))
-        ambients = []
-        for value in tuple(self.ambient_temperatures):
-            if value is not None:
-                try:
-                    value = float(value)
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        "ambient_temperatures entries must be numbers or "
-                        f"null, got {value!r}"
-                    ) from None
-                if value <= 0.0:
-                    raise ValueError("ambient_temperatures must be positive")
-            ambients.append(value)
-        if not ambients:
-            raise ValueError("ambient_temperatures must name at least one entry")
-        object.__setattr__(self, "ambient_temperatures", tuple(ambients))
-        activities = []
-        for value in tuple(self.activities):
-            if isinstance(value, abc.Mapping):
-                mapping = _power_map(value, "activities")
-                if any(entry < 0.0 for entry in mapping.values()):
-                    raise ValueError("activity factors must be non-negative")
-                activities.append(mapping)
-                continue
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    "activities entries must be numbers or per-block "
-                    f"mappings, got {value!r}"
-                ) from None
-            if value < 0.0:
-                raise ValueError("activities must be non-negative")
-            activities.append(value)
-        if not activities:
-            raise ValueError("activities must name at least one entry")
-        object.__setattr__(self, "activities", tuple(activities))
+    _CHECKS = {
+        "technologies": _sequence(
+            _nested(TechnologySpec), "technology description", nonempty=True
+        ),
+        "supply_scales": _sequence(_positive_number, "supply scale", nonempty=True),
+        "ambient_temperatures": _sequence(
+            _optional(_positive_number), "ambient temperature", nonempty=True
+        ),
+        "activities": _sequence(_activity, "activity factor", nonempty=True),
+    }
 
     @property
     def count(self) -> int:
@@ -730,57 +784,14 @@ class ScenarioGridSpec(_SpecSerialization):
             activities=activities,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """The spec as plain data, defaults omitted (minimal JSON)."""
-        data: Dict[str, Any] = {
-            "technologies": [spec.to_dict() for spec in self.technologies]
-        }
-        if self.supply_scales != (1.0,):
-            data["supply_scales"] = list(self.supply_scales)
-        if self.ambient_temperatures != (None,):
-            data["ambient_temperatures"] = list(self.ambient_temperatures)
-        if self.activities != (1.0,):
-            data["activities"] = [
-                dict(value) if isinstance(value, abc.Mapping) else value
-                for value in self.activities
-            ]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioGridSpec":
-        """Rebuild (and re-validate) a spec from :meth:`to_dict` data."""
-
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
-
 
 def as_scenario_grid_spec(value) -> Optional[ScenarioGridSpec]:
     """Coerce a grid description into a :class:`ScenarioGridSpec`."""
-    if value is None or isinstance(value, ScenarioGridSpec):
-        return value
-    if isinstance(value, abc.Mapping):
-        return ScenarioGridSpec.from_dict(value)
-    raise TypeError(
-        f"cannot interpret {type(value).__name__!r} as a scenario grid spec; "
-        "expected ScenarioGridSpec or mapping"
-    )
+    return None if value is None else _as_spec(ScenarioGridSpec, value)
 
 
-def _to_plain(value: Any) -> Any:
-    """Tuples back to lists (and mapping views back to dicts) for JSON."""
-    if isinstance(value, tuple):
-        return [_to_plain(entry) for entry in value]
-    if isinstance(value, abc.Mapping):
-        return {key: _to_plain(entry) for key, entry in value.items()}
-    return value
-
-
-#: Constraint keys :class:`OptimizeSpec` understands.
-_OPTIMIZE_CONSTRAINTS = ("temperature_cap", "penalty_weight")
-
-
-@dataclass(frozen=True)
-class OptimizeVariable(_SpecSerialization):
+@_spec("name", "lower", "upper")
+class OptimizeVariable(_Spec):
     """One bounded search variable of an optimize study.
 
     The declarative mirror of
@@ -794,51 +805,44 @@ class OptimizeVariable(_SpecSerialization):
     lower: float = 0.0
     upper: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
+    _CHECKS = {"name": _text, "lower": _number, "upper": _number}
+
+    def _validate(self) -> None:
+        if not self.name:
             raise ValueError("variable name must be a non-empty string")
-        for label in ("lower", "upper"):
-            value = getattr(self, label)
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"variables[{self.name!r}].{label} must be a number, "
-                    f"got {value!r}"
-                ) from None
-            object.__setattr__(self, label, value)
         if not self.lower < self.upper:
             raise ValueError(
                 f"variables[{self.name!r}] requires lower < upper, got "
                 f"[{self.lower!r}, {self.upper!r}]"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """The variable as plain data (all three fields are meaningful)."""
-        return {"name": self.name, "lower": self.lower, "upper": self.upper}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "OptimizeVariable":
-        """Rebuild (and re-validate) a variable from :meth:`to_dict` data."""
-
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
-
 
 def as_optimize_variable(value) -> OptimizeVariable:
     """Coerce a mapping / spec into an :class:`OptimizeVariable`."""
-    if isinstance(value, OptimizeVariable):
-        return value
-    if isinstance(value, abc.Mapping):
-        return OptimizeVariable.from_dict(value)
-    raise TypeError(
-        f"cannot interpret {type(value).__name__!r} as an optimize variable; "
-        "expected OptimizeVariable or mapping"
-    )
+    return _as_spec(OptimizeVariable, value)
 
 
-@dataclass(frozen=True)
-class OptimizeSpec(_SpecSerialization):
+_objective_name = _choice(OPTIMIZE_OBJECTIVES, "objective", "objectives")
+
+
+def _objective(value: Any, label: str) -> Union[str, Mapping[str, float]]:
+    """An objective name or a non-empty ``{name: positive weight}`` map."""
+    if isinstance(value, str):
+        return _objective_name(value, label)
+    if not isinstance(value, abc.Mapping):
+        raise ValueError(
+            "objective must be an objective name or a {name: weight} "
+            f"mapping, got {value!r}"
+        )
+    if not value:
+        raise ValueError("objective mapping must name at least one objective")
+    for name in value:
+        _objective_name(name, label)
+    return _mapping(_positive_number)(value, label)
+
+
+@_spec()
+class OptimizeSpec(_Spec):
     """Declarative design-space search riding an optimize study.
 
     Attributes
@@ -880,137 +884,39 @@ class OptimizeSpec(_SpecSerialization):
     seed: int = 0
     movable: Tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.problem not in OPTIMIZE_PROBLEMS:
-            raise ValueError(
-                f"unknown optimize problem {self.problem!r}; "
-                f"known problems: {', '.join(OPTIMIZE_PROBLEMS)}"
-            )
-        if isinstance(self.objective, str):
-            if self.objective not in OPTIMIZE_OBJECTIVES:
-                raise ValueError(
-                    f"unknown objective {self.objective!r}; known objectives: "
-                    f"{', '.join(OPTIMIZE_OBJECTIVES)}"
-                )
-        elif isinstance(self.objective, abc.Mapping):
-            weights = _power_map(self.objective, "objective")
-            if not weights:
-                raise ValueError(
-                    "objective mapping must name at least one objective"
-                )
-            for name, weight in weights.items():
-                if name not in OPTIMIZE_OBJECTIVES:
-                    raise ValueError(
-                        f"unknown objective {name!r}; known objectives: "
-                        f"{', '.join(OPTIMIZE_OBJECTIVES)}"
-                    )
-                if weight <= 0.0:
-                    raise ValueError(
-                        f"objective weight for {name!r} must be positive, "
-                        f"got {weight!r}"
-                    )
-            object.__setattr__(self, "objective", weights)
-        else:
-            raise ValueError(
-                "objective must be an objective name or a {name: weight} "
-                f"mapping, got {self.objective!r}"
-            )
-        if not isinstance(self.variables, abc.Iterable) or isinstance(
-            self.variables, (str, abc.Mapping)
-        ):
-            raise ValueError("variables must be a sequence of variable overrides")
-        variables = tuple(as_optimize_variable(value) for value in self.variables)
-        names = [variable.name for variable in variables]
-        if len(set(names)) != len(names):
-            duplicates = sorted({name for name in names if names.count(name) > 1})
+    _CHECKS = {
+        "problem": _choice(OPTIMIZE_PROBLEMS, "optimize problem", "problems"),
+        "objective": _objective,
+        "variables": _sequence(_nested(OptimizeVariable), "variable override"),
+        "constraints": _mapping(
+            _positive_number, keys=("temperature_cap", "penalty_weight")
+        ),
+        "strategy": _choice(OPTIMIZE_STRATEGIES, "strategy", "strategies"),
+        "budget": _integer(1),
+        "generation_size": _integer(1),
+        "seed": _integer(0),
+        "movable": _sequence(_text, "block name"),
+    }
+
+    def _validate(self) -> None:
+        names = [variable.name for variable in self.variables]
+        duplicates = sorted({name for name in names if names.count(name) > 1})
+        if duplicates:
             raise ValueError(
                 f"variables name(s) {', '.join(map(repr, duplicates))} appear "
                 "more than once"
             )
-        object.__setattr__(self, "variables", variables)
-        constraints = _power_map(self.constraints, "constraints")
-        unknown = sorted(set(constraints) - set(_OPTIMIZE_CONSTRAINTS))
-        if unknown:
-            raise ValueError(
-                f"unknown constraints key(s) {', '.join(map(repr, unknown))}; "
-                f"allowed: {', '.join(_OPTIMIZE_CONSTRAINTS)}"
-            )
-        for name, value in constraints.items():
-            if value <= 0.0:
-                raise ValueError(
-                    f"constraints[{name!r}] must be positive, got {value!r}"
-                )
+        constraints = self.constraints
         if "penalty_weight" in constraints and "temperature_cap" not in constraints:
             raise ValueError(
                 "constraints['penalty_weight'] requires "
                 "constraints['temperature_cap']"
             )
-        object.__setattr__(self, "constraints", constraints)
-        if self.strategy not in OPTIMIZE_STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}; known strategies: "
-                f"{', '.join(OPTIMIZE_STRATEGIES)}"
-            )
-        object.__setattr__(self, "budget", validated_int(self.budget, "budget", 1))
-        object.__setattr__(
-            self,
-            "generation_size",
-            validated_int(self.generation_size, "generation_size", 1),
-        )
-        object.__setattr__(self, "seed", validated_int(self.seed, "seed", 0))
-        if not isinstance(self.movable, abc.Iterable) or isinstance(
-            self.movable, (str, abc.Mapping)
-        ):
-            raise ValueError("movable must be a sequence of block names")
-        movable = tuple(self.movable)
-        if any(not isinstance(name, str) for name in movable):
-            raise ValueError("movable entries must be block names")
-        object.__setattr__(self, "movable", movable)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The spec as plain data, defaults omitted (minimal JSON)."""
-        data: Dict[str, Any] = {}
-        if self.problem != "placement":
-            data["problem"] = self.problem
-        if self.objective != "peak_rise":
-            objective = self.objective
-            if isinstance(objective, abc.Mapping):
-                objective = dict(objective)
-            data["objective"] = objective
-        if self.variables:
-            data["variables"] = [variable.to_dict() for variable in self.variables]
-        if self.constraints:
-            data["constraints"] = dict(self.constraints)
-        if self.strategy != "random":
-            data["strategy"] = self.strategy
-        if self.budget != 64:
-            data["budget"] = self.budget
-        if self.generation_size != 16:
-            data["generation_size"] = self.generation_size
-        if self.seed != 0:
-            data["seed"] = self.seed
-        if self.movable:
-            data["movable"] = list(self.movable)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "OptimizeSpec":
-        """Rebuild (and re-validate) a spec from :meth:`to_dict` data."""
-
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
 
 
 def as_optimize_spec(value) -> Optional[OptimizeSpec]:
     """Coerce an optimize description into an :class:`OptimizeSpec`."""
-    if value is None or isinstance(value, OptimizeSpec):
-        return value
-    if isinstance(value, abc.Mapping):
-        return OptimizeSpec.from_dict(value)
-    raise TypeError(
-        f"cannot interpret {type(value).__name__!r} as an optimize spec; "
-        "expected OptimizeSpec or mapping"
-    )
+    return None if value is None else _as_spec(OptimizeSpec, value)
 
 
 #: :class:`StudySpec` fields that determine the compiled
@@ -1032,6 +938,79 @@ ENGINE_FIELDS = (
     "precision",
 )
 
+_ENGINE_KINDS = ("steady", "transient", "sweep", "optimize")
+
+#: Which study kinds accept each :class:`StudySpec` field (fields not
+#: listed apply to every kind).  A field is *set* when it differs from
+#: its default — the test :meth:`_Spec.to_dict` uses to write it.
+KIND_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "dynamic_powers": _ENGINE_KINDS,
+    "static_powers": _ENGINE_KINDS,
+    "scenarios": _ENGINE_KINDS,
+    "scenario_grid": ("steady", "transient"),
+    "chunk_size": ("steady", "transient", "sweep"),
+    "reduction": ("steady", "transient"),
+    "memmap_path": ("steady", "transient"),
+    "workload": ("transient",),
+    "duration": ("transient",),
+    "time_step": ("transient",),
+    "time_constants": ("transient",),
+    "technology": ("thermal_map",),
+    "block_powers": ("thermal_map",),
+    "ambient_temperature": ("thermal_map",),
+    "map_samples": ("thermal_map",),
+    "parameter_name": ("sweep",),
+    "parameter_values": ("sweep",),
+    "optimize": ("optimize",),
+}
+
+#: Why a kind refuses a field, where the kind's name alone does not say.
+_KIND_NOTES = {
+    ("scenario_grid", "sweep"): (
+        "sweep studies enumerate scenarios explicitly "
+        "(aligned one-to-one with parameter_values)"
+    ),
+    ("scenario_grid", "optimize"): (
+        "optimize studies enumerate their operating scenarios explicitly"
+    ),
+    ("reduction", "sweep"): "sweep results are always reduced series",
+}
+
+#: Fields a kind cannot run without (each must differ from its default).
+_KIND_REQUIRES = {
+    "transient": ("duration", "time_step"),
+    "thermal_map": ("block_powers",),
+    "sweep": ("parameter_name",),
+}
+
+_FIXED_POINT_OPTIONS: Dict[str, _Check] = {
+    "max_iterations": _integer(1),
+    "tolerance": _number,
+    "damping": _number,
+    "max_temperature": _number,
+}
+
+#: Solver options each study kind forwards to its engine, with the checker
+#: each value must pass (values are stored as :func:`_freeze` stores them).
+_SOLVER_OPTIONS: Dict[str, Dict[str, _Check]] = {
+    "steady": _FIXED_POINT_OPTIONS,
+    "sweep": _FIXED_POINT_OPTIONS,
+    "optimize": _FIXED_POINT_OPTIONS,
+    "transient": {
+        "max_temperature": _number,
+        "settle_tolerance": _optional(_number),
+        "include_activity_edges": _flag,
+    },
+    "thermal_map": {},
+}
+
+
+def _map_samples(value: Any, label: str) -> Tuple[int, int]:
+    samples = _sequence(_integer(2), "sample count")(value, label)
+    if len(samples) != 2:
+        raise ValueError(f"{label} must be two sample counts >= 2, got {value!r}")
+    return samples
+
 
 def _default_floorplan() -> "FloorplanSpec":
     """One full-die block: the placeholder floorplan of a default spec."""
@@ -1039,8 +1018,8 @@ def _default_floorplan() -> "FloorplanSpec":
     return FloorplanSpec(blocks=(block,))
 
 
-@dataclass(frozen=True)
-class StudySpec(_SpecSerialization):
+@_spec("kind", "floorplan")
+class StudySpec(_Spec):
     """One complete, executable study description.
 
     Attributes
@@ -1050,7 +1029,8 @@ class StudySpec(_SpecSerialization):
         time-domain integration), ``"thermal_map"`` (analytical surface
         map), ``"sweep"`` (a steady batch reported as a 1-D parameter
         sweep) or ``"optimize"`` (a design-space search driving batched
-        engine solves as its inner loop).
+        engine solves as its inner loop).  :data:`KIND_FIELDS` lists the
+        fields each kind accepts.
     floorplan:
         The die and its blocks.
     dynamic_powers, static_powers:
@@ -1137,7 +1117,7 @@ class StudySpec(_SpecSerialization):
     """
 
     kind: str = "steady"
-    floorplan: FloorplanSpec = field(default_factory=lambda: _default_floorplan())
+    floorplan: FloorplanSpec = field(default_factory=_default_floorplan)
     dynamic_powers: Dict[str, float] = field(default_factory=dict)
     static_powers: Dict[str, float] = field(default_factory=dict)
     scenarios: Tuple[ScenarioSpec, ...] = ()
@@ -1166,149 +1146,87 @@ class StudySpec(_SpecSerialization):
     solver: Dict[str, Any] = field(default_factory=dict)
     label: str = ""
 
-    def __post_init__(self) -> None:
-        if self.kind not in STUDY_KINDS:
-            raise ValueError(
-                f"unknown study kind {self.kind!r}; "
-                f"known kinds: {', '.join(STUDY_KINDS)}"
-            )
-        object.__setattr__(self, "floorplan", as_floorplan_spec(self.floorplan))
-        object.__setattr__(
-            self, "dynamic_powers", _power_map(self.dynamic_powers, "dynamic_powers")
-        )
-        object.__setattr__(
-            self, "static_powers", _power_map(self.static_powers, "static_powers")
-        )
-        object.__setattr__(
-            self, "block_powers", _power_map(self.block_powers, "block_powers")
-        )
-        if self.time_constants is not None:
-            object.__setattr__(
-                self,
-                "time_constants",
-                _power_map(self.time_constants, "time_constants"),
-            )
-        if not isinstance(self.scenarios, abc.Iterable) or isinstance(
-            self.scenarios, (str, abc.Mapping)
-        ):
-            raise ValueError("scenarios must be a sequence of scenario descriptions")
-        object.__setattr__(
-            self,
-            "scenarios",
-            tuple(as_scenario_spec(value) for value in self.scenarios),
-        )
-        object.__setattr__(
-            self, "scenario_grid", as_scenario_grid_spec(self.scenario_grid)
-        )
-        object.__setattr__(self, "optimize", as_optimize_spec(self.optimize))
-        if self.chunk_size is not None:
-            object.__setattr__(
-                self, "chunk_size", validated_int(self.chunk_size, "chunk_size", 1)
-            )
-        object.__setattr__(self, "reduction", bool(self.reduction))
-        if self.memmap_path is not None:
-            if not isinstance(self.memmap_path, (str, Path)):
-                raise ValueError(
-                    f"memmap_path must be a directory path, got {self.memmap_path!r}"
-                )
-            object.__setattr__(self, "memmap_path", str(self.memmap_path))
-        object.__setattr__(self, "workload", as_workload_spec(self.workload))
-        if self.technology is not None:
-            object.__setattr__(self, "technology", as_technology_spec(self.technology))
-        for label in ("duration", "time_step", "ambient_temperature"):
-            value = getattr(self, label)
-            if value is None:
-                continue
-            object.__setattr__(self, label, _positive_number(value, label))
-        samples = tuple(self.map_samples)
-        if len(samples) != 2 or any(int(n) < 2 for n in samples):
-            raise ValueError(
-                f"map_samples must be two sample counts >= 2, got {self.map_samples!r}"
-            )
-        object.__setattr__(self, "map_samples", tuple(int(n) for n in samples))
-        object.__setattr__(
-            self,
-            "parameter_values",
-            _freeze(tuple(self.parameter_values), "parameter_values"),
-        )
-        if int(self.image_rings) < 0:
-            raise ValueError("image_rings must be non-negative")
-        object.__setattr__(self, "image_rings", int(self.image_rings))
-        object.__setattr__(
-            self, "include_bottom_images", bool(self.include_bottom_images)
-        )
-        if self.device_type not in ("nmos", "pmos"):
-            raise ValueError("device_type must be 'nmos' or 'pmos'")
-        if self.thermal_backend not in THERMAL_BACKENDS:
-            raise ValueError(
-                f"unknown thermal_backend {self.thermal_backend!r}; "
-                f"known backends: {', '.join(THERMAL_BACKENDS)}"
-            )
-        if not isinstance(self.backend_options, abc.Mapping):
-            raise ValueError("backend_options must be a mapping")
+    _CHECKS = {
+        "kind": _choice(STUDY_KINDS, "study kind", "kinds"),
+        "floorplan": _nested(FloorplanSpec),
+        "dynamic_powers": _numbers,
+        "static_powers": _numbers,
+        "scenarios": _sequence(_nested(ScenarioSpec), "scenario description"),
+        "scenario_grid": _optional(_nested(ScenarioGridSpec)),
+        "chunk_size": _optional(_integer(1)),
+        "reduction": _flag,
+        "memmap_path": _optional(_path),
+        "workload": _optional(_nested(WorkloadSpec)),
+        "duration": _optional(_positive_number),
+        "time_step": _optional(_positive_number),
+        "time_constants": _optional(_numbers),
+        "technology": _optional(_nested(TechnologySpec)),
+        "block_powers": _numbers,
+        "ambient_temperature": _optional(_positive_number),
+        "map_samples": _map_samples,
+        "parameter_name": _text,
+        "parameter_values": _sequence(_number, "parameter value"),
+        "optimize": _optional(_nested(OptimizeSpec)),
+        "image_rings": _integer(0),
+        "include_bottom_images": _flag,
+        "device_type": _choice(("nmos", "pmos"), "device_type", "device types"),
+        "thermal_backend": _choice(THERMAL_BACKENDS, "thermal_backend", "backends"),
+        "backend_options": _mapping(_integer(2), keys=FDM_GRID_OPTIONS),
+        "array_backend": _optional(
+            _choice(ARRAY_BACKENDS, "array_backend", "backends")
+        ),
+        "precision": _optional(_choice(PRECISIONS, "precision", "precisions")),
+        "solver": _plain_mapping,
+        "label": _text,
+    }
+
+    # ------------------------------------------------------------------ #
+    # Cross-field and kind-specific validation
+    # ------------------------------------------------------------------ #
+    def _validate(self) -> None:
+        kind = self.kind
         if self.backend_options and self.thermal_backend != "fdm":
             raise ValueError(
                 "backend_options only apply to the 'fdm' thermal backend "
                 f"(thermal_backend is {self.thermal_backend!r})"
             )
-        options: Dict[str, int] = {}
-        for key, value in self.backend_options.items():
-            if key not in FDM_GRID_OPTIONS:
-                raise ValueError(
-                    f"unknown backend_options key {key!r}; "
-                    f"allowed: {', '.join(FDM_GRID_OPTIONS)}"
-                )
-            options[key] = validated_int(value, f"backend_options[{key!r}]", 2)
-        object.__setattr__(self, "backend_options", MappingProxyType(options))
-        if self.array_backend is not None and self.array_backend not in ARRAY_BACKENDS:
-            raise ValueError(
-                f"unknown array_backend {self.array_backend!r}; "
-                f"known backends: {', '.join(ARRAY_BACKENDS)}"
-            )
-        if self.precision is not None and self.precision not in PRECISIONS:
-            raise ValueError(
-                f"unknown precision {self.precision!r}; "
-                f"known precisions: {', '.join(PRECISIONS)}"
-            )
-        if not isinstance(self.solver, abc.Mapping):
-            raise ValueError("solver must be a mapping of solver options")
-        allowed = _SOLVER_KEYS[self.kind]
-        unknown = sorted(set(self.solver) - set(allowed))
+        options = _SOLVER_OPTIONS[kind]
+        unknown = sorted(set(self.solver) - set(options))
         if unknown:
             raise ValueError(
-                f"{self.kind!r} studies do not understand solver option(s) "
+                f"{kind!r} studies do not understand solver option(s) "
                 f"{', '.join(map(repr, unknown))}"
-                + (f"; allowed: {', '.join(allowed)}" if allowed else "")
+                + (f"; allowed: {', '.join(options)}" if options else "")
             )
-        solver = _freeze(dict(self.solver), "solver")
-        for key, value in solver.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"solver option {key!r} must be finite, got {value!r}")
-        object.__setattr__(self, "solver", MappingProxyType(solver))
-        if not isinstance(self.label, str):
-            raise ValueError("label must be a string")
-        self._validate_kind()
+        for key, value in self.solver.items():
+            options[key](value, f"solver option {key!r}")
 
-    # ------------------------------------------------------------------ #
-    # Kind-specific validation
-    # ------------------------------------------------------------------ #
-    def _validate_kind(self) -> None:
-        kind = self.kind
         block_names = set(self.floorplan.block_names)
-
-        def check_blocks(mapping: Mapping[str, float], label: str) -> None:
-            unknown = sorted(set(mapping) - block_names)
+        for label in (
+            "dynamic_powers",
+            "static_powers",
+            "block_powers",
+            "time_constants",
+        ):
+            unknown = sorted(set(getattr(self, label) or ()) - block_names)
             if unknown:
                 raise ValueError(
                     f"{label} references unknown block(s): {', '.join(unknown)}; "
                     f"floorplan blocks: {', '.join(sorted(block_names))}"
                 )
 
-        check_blocks(self.dynamic_powers, "dynamic_powers")
-        check_blocks(self.static_powers, "static_powers")
-        check_blocks(self.block_powers, "block_powers")
-        if self.time_constants:
-            check_blocks(self.time_constants, "time_constants")
+        for name, kinds in KIND_FIELDS.items():
+            if kind not in kinds and self._is_set(name):
+                note = _KIND_NOTES.get((name, kind))
+                only = "only " if len(kinds) == 1 else ""
+                raise ValueError(
+                    f"{name} does not apply to {kind} studies; "
+                    + (f"{note}; " if note else "")
+                    + f"{name} {only}applies to {_join(kinds)} studies"
+                )
+        for name in _KIND_REQUIRES.get(kind, ()):
+            if not self._is_set(name):
+                raise ValueError(f"{kind} studies require {name}")
 
         if kind == "thermal_map":
             if self.thermal_backend != "analytical":
@@ -1324,122 +1242,37 @@ class StudySpec(_SpecSerialization):
                     "only the default array_backend "
                     f"(got {self.array_backend!r})"
                 )
-            if not self.block_powers:
-                raise ValueError("thermal_map studies require block_powers")
-            if self.scenarios:
-                raise ValueError("thermal_map studies take block_powers, not scenarios")
-            # Engine-only fields must not be silently ignored either.
-            for label in (
-                "workload",
-                "duration",
-                "time_step",
-                "time_constants",
-                "scenario_grid",
-                "chunk_size",
-                "memmap_path",
-                "optimize",
-            ):
-                if getattr(self, label) is not None:
-                    raise ValueError(f"{label} does not apply to thermal_map studies")
-            if self.reduction:
-                raise ValueError("reduction does not apply to thermal_map studies")
-            for label in (
-                "dynamic_powers",
-                "static_powers",
-                "parameter_name",
-                "parameter_values",
-            ):
-                if getattr(self, label):
-                    raise ValueError(f"{label} does not apply to thermal_map studies")
             return
-
-        # Engine-backed kinds share the scenario/power requirements, and
-        # must not silently ignore thermal_map-only fields.
-        for label in ("technology", "ambient_temperature"):
-            if getattr(self, label) is not None:
-                raise ValueError(f"{label} only applies to thermal_map studies")
-        if self.block_powers:
-            raise ValueError("block_powers only apply to thermal_map studies")
-        if self.map_samples != (50, 50):
-            raise ValueError("map_samples only apply to thermal_map studies")
-        if self.scenario_grid is not None:
-            if kind == "sweep":
-                raise ValueError(
-                    "sweep studies enumerate scenarios explicitly (aligned "
-                    "one-to-one with parameter_values); scenario_grid applies "
-                    "to steady and transient studies"
-                )
-            if kind == "optimize":
-                raise ValueError(
-                    "optimize studies enumerate their operating scenarios "
-                    "explicitly; scenario_grid applies to steady and "
-                    "transient studies"
-                )
-            if self.scenarios:
-                raise ValueError("give scenarios or scenario_grid, not both")
-        if kind == "sweep":
-            if self.reduction:
-                raise ValueError(
-                    "sweep results are always reduced series; the reduction "
-                    "flag applies to steady and transient studies"
-                )
-            if self.memmap_path is not None:
-                raise ValueError(
-                    "memmap_path applies to steady and transient studies"
-                )
-        if kind == "optimize":
-            for label in ("chunk_size", "memmap_path"):
-                if getattr(self, label) is not None:
-                    raise ValueError(
-                        f"{label} does not apply to optimize studies"
-                    )
-            if self.reduction:
-                raise ValueError("reduction does not apply to optimize studies")
+        if self.scenarios and self.scenario_grid is not None:
+            raise ValueError("give scenarios or scenario_grid, not both")
         if not self.scenarios and self.scenario_grid is None:
-            raise ValueError(f"{kind!r} studies require at least one scenario")
+            raise ValueError(
+                f"scenarios must name at least one scenario for {kind!r} studies"
+            )
         if not self.dynamic_powers and not self.static_powers:
             raise ValueError(
                 f"{kind!r} studies require dynamic_powers and/or static_powers"
             )
-        if kind == "transient":
-            for label in ("duration", "time_step"):
-                if getattr(self, label) is None:
-                    raise ValueError(f"transient studies require {label}")
-        else:
-            for label in ("duration", "time_step"):
-                if getattr(self, label) is not None:
-                    raise ValueError(f"{label} only applies to transient studies")
-            if self.workload is not None:
-                raise ValueError("workload only applies to transient studies")
-            if self.time_constants is not None:
-                raise ValueError("time_constants only apply to transient studies")
-        if kind == "sweep":
-            if not self.parameter_name:
-                raise ValueError("sweep studies require parameter_name")
-            if len(self.parameter_values) != len(self.scenarios):
-                raise ValueError(
-                    "parameter_values must align one-to-one with scenarios "
-                    f"({len(self.parameter_values)} value(s) vs "
-                    f"{len(self.scenarios)} scenario(s))"
-                )
-        elif self.parameter_name or self.parameter_values:
+        if kind == "sweep" and len(self.parameter_values) != len(self.scenarios):
             raise ValueError(
-                "parameter_name/parameter_values only apply to sweep studies"
+                "parameter_values must align one-to-one with scenarios "
+                f"({len(self.parameter_values)} value(s) vs "
+                f"{len(self.scenarios)} scenario(s))"
             )
         if kind == "optimize":
-            if self.optimize is None:
-                raise ValueError(
-                    "optimize studies require an optimize block describing "
-                    "the search"
-                )
             self._validate_optimize()
-        elif self.optimize is not None:
-            raise ValueError("optimize only applies to optimize studies")
+
+    def _is_set(self, name: str) -> bool:
+        """Whether field ``name`` differs from its default."""
+        return getattr(self, name) != self._DEFAULTS[name]
 
     def _validate_optimize(self) -> None:
         """Cross-check the optimize block against the floorplan."""
         spec = self.optimize
-        assert spec is not None
+        if spec is None:
+            raise ValueError(
+                "optimize studies require an optimize block describing the search"
+            )
         block_names = tuple(self.floorplan.block_names)
         if spec.problem == "placement":
             unknown = sorted(set(spec.movable) - set(block_names))
@@ -1467,76 +1300,6 @@ class StudySpec(_SpecSerialization):
                     f"{spec.problem!r} search variable; allowed: "
                     f"{', '.join(sorted(allowed))}"
                 )
-
-    # ------------------------------------------------------------------ #
-    # Serialization
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, Any]:
-        """The spec as plain data, defaults omitted (minimal JSON)."""
-        data: Dict[str, Any] = {
-            "kind": self.kind,
-            "floorplan": self.floorplan.to_dict(),
-        }
-        if self.dynamic_powers:
-            data["dynamic_powers"] = dict(self.dynamic_powers)
-        if self.static_powers:
-            data["static_powers"] = dict(self.static_powers)
-        if self.scenarios:
-            data["scenarios"] = [scenario.to_dict() for scenario in self.scenarios]
-        if self.scenario_grid is not None:
-            data["scenario_grid"] = self.scenario_grid.to_dict()
-        if self.chunk_size is not None:
-            data["chunk_size"] = self.chunk_size
-        if self.reduction:
-            data["reduction"] = True
-        if self.memmap_path is not None:
-            data["memmap_path"] = self.memmap_path
-        if self.workload is not None:
-            data["workload"] = self.workload.to_dict()
-        for label in ("duration", "time_step", "ambient_temperature"):
-            value = getattr(self, label)
-            if value is not None:
-                data[label] = value
-        if self.time_constants is not None:
-            data["time_constants"] = dict(self.time_constants)
-        if self.technology is not None:
-            data["technology"] = self.technology.to_dict()
-        if self.block_powers:
-            data["block_powers"] = dict(self.block_powers)
-        if self.map_samples != (50, 50):
-            data["map_samples"] = list(self.map_samples)
-        if self.parameter_name:
-            data["parameter_name"] = self.parameter_name
-        if self.parameter_values:
-            data["parameter_values"] = list(self.parameter_values)
-        if self.optimize is not None:
-            data["optimize"] = self.optimize.to_dict()
-        if self.image_rings != 1:
-            data["image_rings"] = self.image_rings
-        if not self.include_bottom_images:
-            data["include_bottom_images"] = False
-        if self.device_type != "nmos":
-            data["device_type"] = self.device_type
-        if self.thermal_backend != "analytical":
-            data["thermal_backend"] = self.thermal_backend
-        if self.backend_options:
-            data["backend_options"] = dict(self.backend_options)
-        if self.array_backend is not None:
-            data["array_backend"] = self.array_backend
-        if self.precision is not None:
-            data["precision"] = self.precision
-        if self.solver:
-            data["solver"] = _to_plain(self.solver)
-        if self.label:
-            data["label"] = self.label
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StudySpec":
-        """Rebuild (and re-validate) a spec from :meth:`to_dict` data."""
-
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
 
     # ------------------------------------------------------------------ #
     # Runtime construction helpers (consumed by repro.api.study)
@@ -1585,8 +1348,7 @@ class StudySpec(_SpecSerialization):
         byte-identical text here, so hashing it keys compiled engines (and
         their reduced operator matrices) across requests.
         """
-        data = self.to_dict()
-        subset = {name: data[name] for name in ENGINE_FIELDS if name in data}
+        subset = self._plain_fields(ENGINE_FIELDS)
         return json.dumps(subset, sort_keys=True, separators=(",", ":"))
 
     def engine_hash(self) -> str:
@@ -1603,3 +1365,21 @@ class StudySpec(_SpecSerialization):
     def replace(self, **overrides) -> "StudySpec":
         """Copy of the spec with the given fields replaced (re-validated)."""
         return replace(self, **overrides)
+
+
+def _join(names: Sequence[str]) -> str:
+    """``a``, ``a and b``, ``a, b and c``."""
+    return " and ".join(filter(None, (", ".join(names[:-1]), names[-1])))
+
+
+#: Every spec class, nested ones first: the vocabulary of spec fields.
+SPEC_CLASSES = (
+    TechnologySpec,
+    FloorplanSpec,
+    WorkloadSpec,
+    ScenarioSpec,
+    ScenarioGridSpec,
+    OptimizeVariable,
+    OptimizeSpec,
+    StudySpec,
+)

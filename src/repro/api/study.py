@@ -247,7 +247,7 @@ def _run_optimize(spec: StudySpec) -> StudyResult:
     bit for bit — the same replay property as the other kinds.
     """
     opt = spec.optimize
-    assert opt is not None  # _validate_kind guarantees the block exists
+    assert opt is not None  # StudySpec._validate guarantees the block exists
     scenarios = spec.build_scenarios()
     cap = None
     if "temperature_cap" in opt.constraints:

@@ -2,7 +2,7 @@
 
 A thin transport adapter over :class:`~repro.serve.service.StudyService`:
 request bodies are exactly the :meth:`StudySpec.to_dict
-<repro.api.specs._SpecSerialization.to_dict>` format the CLI reads and
+<repro.api.specs._Spec.to_dict>` format the CLI reads and
 writes, responses are exactly the envelopes
 :meth:`~repro.api.results.StudyResult.envelope` produces — a file that
 round-trips through ``repro run`` round-trips through ``POST /run``
@@ -45,16 +45,7 @@ from .service import ServeTimeoutError, ServiceClosedError, StudyService
 #: Spec field names recognized when turning a validation message into a
 #: structured 400 (every dataclass field across the spec vocabulary).
 _SPEC_FIELD_NAMES = frozenset(
-    field.name
-    for cls in (
-        _specs.TechnologySpec,
-        _specs.FloorplanSpec,
-        _specs.WorkloadSpec,
-        _specs.ScenarioSpec,
-        _specs.ScenarioGridSpec,
-        _specs.StudySpec,
-    )
-    for field in dataclasses.fields(cls)
+    field.name for cls in _specs.SPEC_CLASSES for field in dataclasses.fields(cls)
 )
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

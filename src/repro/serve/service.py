@@ -9,7 +9,7 @@ three layers, each amortizing work across requests that a one-shot
 ``repro run`` pays every time:
 
 1. **Content-addressed caches** — results are keyed by the spec's
-   :meth:`~repro.api.specs._SpecSerialization.content_hash` (an identical
+   :meth:`~repro.api.specs._Spec.content_hash` (an identical
    re-request is served bit-identically without touching an engine), and
    compiled engines — reduced operator matrix included — by
    :meth:`~repro.api.specs.StudySpec.engine_hash` (requests differing only

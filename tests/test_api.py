@@ -23,15 +23,23 @@ from repro.api import (
     FloorplanSpec,
     OptimizeSpec,
     OptimizeVariable,
+    ScenarioGridSpec,
     ScenarioSpec,
     Study,
     StudyResult,
     StudySpec,
     TechnologySpec,
     WorkloadSpec,
+    as_floorplan_spec,
+    as_optimize_spec,
+    as_scenario_grid_spec,
+    as_scenario_spec,
+    as_technology_spec,
+    as_workload_spec,
     run_study,
 )
 from repro.api.cli import main as cli_main
+from repro.api.specs import as_optimize_variable
 from repro.core.cosim import (
     PWMActivity,
     ScenarioEngine,
@@ -40,6 +48,7 @@ from repro.core.cosim import (
 )
 from repro.core.thermal import ChipThermalModel
 from repro.floorplan import Block, Floorplan, as_block, three_block_floorplan
+from repro.serve.server import error_body
 from repro.technology import make_technology
 from repro.technology.nodes import node_names
 
@@ -871,6 +880,87 @@ class TestValidation:
             ScenarioSpec(technology="0.12um", ambient_temperature=value)
         with pytest.raises(ValueError, match="die_width must be finite"):
             FloorplanSpec(die_width=value)
+        grid = {"technologies": ("0.12um",)}
+        for axis in ("supply_scales", "ambient_temperatures", "activities"):
+            with pytest.raises(ValueError, match=f"{axis} must be finite"):
+                ScenarioGridSpec(**grid, **{axis: (value,)})
+        with pytest.raises(ValueError, match=r"activities\['core'\] must be finite"):
+            ScenarioGridSpec(**grid, activities=({"core": value},))
+        with pytest.raises(ValueError, match="activity must be finite"):
+            ScenarioSpec(activity=value)
+        with pytest.raises(ValueError, match=r"activity\['core'\] must be finite"):
+            ScenarioSpec(activity={"core": value})
+        with pytest.raises(ValueError, match="ambient_celsius must be finite"):
+            TechnologySpec(ambient_celsius=value)
+        for bound in ("lower", "upper"):
+            with pytest.raises(ValueError, match=f"{bound} must be finite"):
+                OptimizeVariable(name="x", **{bound: value})
+        for field_name in ("dynamic_powers", "static_powers"):
+            with pytest.raises(
+                ValueError, match=rf"{field_name}\['core'\] must be finite"
+            ):
+                _minimal_spec().replace(**{field_name: {"core": value}})
+        with pytest.raises(ValueError, match=r"time_constants\['io'\] must be finite"):
+            transient.replace(time_constants={"core": 1e-3, "io": value})
+        with pytest.raises(ValueError, match=r"block_powers\['core'\] must be finite"):
+            _thermal_map_study().spec.replace(block_powers={"core": value})
+        with pytest.raises(
+            ValueError, match=r"objective\['peak_rise'\] must be finite"
+        ):
+            OptimizeSpec(objective={"peak_rise": value})
+        with pytest.raises(
+            ValueError, match=r"constraints\['temperature_cap'\] must be finite"
+        ):
+            OptimizeSpec(constraints={"temperature_cap": value})
+        with pytest.raises(ValueError, match="parameter_values must be finite"):
+            _sweep_study().spec.replace(parameter_values=(1.0, 2.0, value))
+
+    def test_wrong_json_types_are_rejected_by_name(self):
+        # Each once raised TypeError (a 500 from serve), failed without
+        # naming the field, or was silently truncated.
+        steady = _minimal_spec().to_dict()
+        sweep = _sweep_study().spec.to_dict()
+        thermal_map = _thermal_map_study().spec.to_dict()
+        for base, name, value in (
+            (steady, "floorplan", 5),
+            (thermal_map, "map_samples", 5),
+            (thermal_map, "map_samples", ["a", "b"]),
+            (thermal_map, "map_samples", [2.7, 3]),
+            (sweep, "parameter_values", 5),
+            (steady, "image_rings", [1]),
+            (steady, "image_rings", "x"),
+            (steady, "image_rings", 1.5),
+        ):
+            with pytest.raises(ValueError, match=name) as excinfo:
+                StudySpec.from_dict({**base, name: value})
+            assert error_body(str(excinfo.value))["error"]["field"] == name
+        for option, value in (("tolerance", "x"), ("max_iterations", 2.5)):
+            with pytest.raises(ValueError, match=f"'{option}'"):
+                StudySpec.from_dict({**steady, "solver": {option: value}})
+        # Stored exactly as before: a whole-number float stays a float.
+        spec = StudySpec.from_dict({**steady, "solver": {"max_iterations": 7}})
+        assert spec.solver["max_iterations"] == 7.0
+        assert isinstance(spec.solver["max_iterations"], float)
+
+    def test_wrong_python_objects_still_raise_type_error(self):
+        for coerce in (
+            as_technology_spec,
+            as_floorplan_spec,
+            as_workload_spec,
+            as_scenario_spec,
+            as_scenario_grid_spec,
+            as_optimize_variable,
+            as_optimize_spec,
+        ):
+            with pytest.raises(TypeError, match="cannot interpret 'int'"):
+                coerce(42)
+        assert as_technology_spec("0.18um") == TechnologySpec("0.18um")
+        plan = three_block_floorplan()
+        assert as_floorplan_spec(plan) == FloorplanSpec.from_floorplan(plan)
+        with pytest.raises(TypeError, match="rather than a built Scenario"):
+            as_scenario_spec(ScenarioSpec().build())
+        with pytest.raises(TypeError, match="rather than a built PWMActivity"):
+            as_workload_spec(PWMActivity(periods=1e-3, duty_cycles=0.5))
 
     def test_unknown_spec_field_named(self):
         with pytest.raises(ValueError, match="florplan"):
@@ -1191,3 +1281,243 @@ def test_math_is_finite_on_defaults():
     result = _steady_study().run()
     assert np.isfinite(result.array("block_temperatures")).all()
     assert math.isfinite(result.summary()["peak_temperature_K"])
+
+
+# --------------------------------------------------------------------- #
+# Golden spec hashes: the serialized form is a cache-key contract
+# --------------------------------------------------------------------- #
+def _rich_scenarios():
+    return (
+        ScenarioSpec(
+            technology=TechnologySpec("0.18um", ambient_celsius=40.0),
+            supply_voltage=1.62,
+            ambient_temperature=318.15,
+            activity={"core": 0.8, "cache": 0.4},
+            label="hot corner",
+        ),
+        ScenarioSpec(technology="0.12um", supply_scale=0.9, activity=0.5),
+    )
+
+
+def _rich_common():
+    """Engine fields away from their defaults, shared by the engine kinds."""
+    return dict(
+        floorplan=FloorplanSpec(
+            die_width=1.2e-3,
+            die_length=1.1e-3,
+            die_thickness=400e-6,
+            blocks=(
+                ("core", 4e-4, 4e-4, 4e-4, 4e-4),
+                ("cache", 5e-4, 5e-4, 4e-4, 4e-4),
+                {
+                    "name": "io",
+                    "x": 9e-4,
+                    "y": 9e-4,
+                    "width": 2e-4,
+                    "length": 2e-4,
+                    "gate_count": 1200,
+                },
+            ),
+            name="overlapping",
+            allow_overlaps=True,
+        ),
+        dynamic_powers=DYNAMIC,
+        static_powers=STATIC,
+        image_rings=2,
+        include_bottom_images=False,
+        device_type="pmos",
+        thermal_backend="fdm",
+        backend_options={"nx": 12, "ny": 10, "nz": 4},
+        array_backend="numpy",
+        precision="float32",
+        label="every field",
+    )
+
+
+def _spec_hash_corpus():
+    """Every example study plus one spec per kind with every field set."""
+    from pathlib import Path
+
+    examples = Path(__file__).resolve().parents[1] / "examples"
+    corpus = {
+        path.stem: StudySpec.from_json(path) for path in sorted(examples.glob("*.json"))
+    }
+    common = _rich_common()
+    corpus["rich_steady"] = StudySpec(
+        kind="steady",
+        scenarios=_rich_scenarios(),
+        chunk_size=3,
+        memmap_path="fields",
+        solver={
+            "max_iterations": 7,
+            "tolerance": 1e-9,
+            "damping": 0.6,
+            "max_temperature": 600.0,
+        },
+        **common,
+    )
+    corpus["rich_grid"] = StudySpec(
+        kind="steady",
+        scenario_grid={
+            "technologies": ["0.12um", {"node": "0.18um", "ambient_celsius": 30.0}],
+            "supply_scales": [0.9, 1.1],
+            "ambient_temperatures": [None, 330.0],
+            "activities": [0.5, {"core": 1.2, "io": 0.3}],
+        },
+        chunk_size=4,
+        reduction=True,
+        **common,
+    )
+    corpus["rich_transient"] = StudySpec(
+        kind="transient",
+        scenarios=_rich_scenarios(),
+        workload={
+            "kind": "pwm",
+            "parameters": {
+                "periods": [4e-3, 2e-3, 1e-3],
+                "duty_cycles": 0.4,
+                "on": 1.5,
+                "off": 0.1,
+            },
+        },
+        duration=20e-3,
+        time_step=0.5e-3,
+        time_constants={"core": 2e-3, "cache": 1.5e-3, "io": 1e-3},
+        solver={
+            "max_temperature": 700.0,
+            "settle_tolerance": 1e-4,
+            "include_activity_edges": False,
+        },
+        **common,
+    )
+    corpus["rich_sweep"] = StudySpec(
+        kind="sweep",
+        scenarios=_rich_scenarios(),
+        parameter_name="corner",
+        parameter_values=(1, 2.5),
+        chunk_size=1,
+        solver={"damping": 0.5},
+        **common,
+    )
+    corpus["rich_optimize"] = StudySpec(
+        kind="optimize",
+        scenarios=_rich_scenarios(),
+        optimize=OptimizeSpec(
+            problem="placement",
+            objective={"peak_rise": 1.0, "total_power": 5.0},
+            variables=(
+                OptimizeVariable("core.x", 3e-4, 6e-4),
+                {"name": "cache.y", "lower": 4e-4, "upper": 7e-4},
+            ),
+            constraints={"temperature_cap": 420.0, "penalty_weight": 2.0},
+            strategy="nelder_mead",
+            budget=12,
+            generation_size=6,
+            seed=3,
+            movable=("core", "cache"),
+        ),
+        solver={"tolerance": 1e-8},
+        **common,
+    )
+    corpus["rich_supply"] = StudySpec(
+        kind="optimize",
+        scenarios=_rich_scenarios(),
+        optimize={
+            "problem": "supply",
+            "objective": "total_static_power",
+            "variables": [
+                {"name": "supply_scale", "lower": 0.7, "upper": 1.1},
+                {"name": "activity.io", "lower": 0.0, "upper": 2.0},
+            ],
+            "constraints": {"temperature_cap": 400.0},
+            "strategy": "grid",
+            "budget": 9,
+            "generation_size": 9,
+            "seed": 11,
+        },
+        **common,
+    )
+    corpus["rich_thermal_map"] = StudySpec(
+        kind="thermal_map",
+        floorplan=common["floorplan"],
+        technology=TechnologySpec("0.18um", ambient_celsius=35.5),
+        block_powers={"core": 0.3, "io": 0.05},
+        ambient_temperature=330.0,
+        map_samples=(12, 9),
+        image_rings=0,
+        include_bottom_images=False,
+        device_type="pmos",
+        precision="float64",
+        label="map",
+    )
+    return corpus
+
+
+#: ``(content_hash, engine_hash)`` of every spec in :func:`_spec_hash_corpus`,
+#: recorded before the spec codec became field-driven.  Serve's result and
+#: engine caches key on these, so any change to the canonical JSON shows up
+#: here.
+GOLDEN_SPEC_HASHES = {
+    "rich_grid": (
+        "26891007fc910afa1a889324fc49fbb882ff1aa65c749fbf8cabff7f6c12a634",
+        "fc1b154347e93d16336cdcf5fbe14ee6b284c2f288480b1b4793460a788a58ca",
+    ),
+    "rich_optimize": (
+        "1e799838c78bfc1c5bff120762e315d59f2455199d1c61679e404b2d1d58dd6a",
+        "fc1b154347e93d16336cdcf5fbe14ee6b284c2f288480b1b4793460a788a58ca",
+    ),
+    "rich_steady": (
+        "493af3a5bc48d41df1d00e22ada88e9e866ec970a586679ead1053afb413f3a1",
+        "fc1b154347e93d16336cdcf5fbe14ee6b284c2f288480b1b4793460a788a58ca",
+    ),
+    "rich_supply": (
+        "db4a25d57691d41c193e1b8ce90352585ce3ee552074cd1f59f49fcc31589600",
+        "fc1b154347e93d16336cdcf5fbe14ee6b284c2f288480b1b4793460a788a58ca",
+    ),
+    "rich_sweep": (
+        "56b2beff77af92e2446d5265ead8941321aa99ce5658b2cf5b8116b26be602ec",
+        "fc1b154347e93d16336cdcf5fbe14ee6b284c2f288480b1b4793460a788a58ca",
+    ),
+    "rich_thermal_map": (
+        "5fa5fff9f94d5608413326c955132b795fb71f5fd7b41153dc489c80c67218e6",
+        "2116f75e1952111e3e4ec9a0f2c640d9c306db1ac474fa8131563ffc4537ea3b",
+    ),
+    "rich_transient": (
+        "e5ee8ef863e891e776803e63a374c3bb8c0bbca96eb7ddb9d3e42f4b3eb472da",
+        "fc1b154347e93d16336cdcf5fbe14ee6b284c2f288480b1b4793460a788a58ca",
+    ),
+    "study_backend_fdm": (
+        "fae52fe01c5630bccd1c7949249fd21c61b68d2593e0c19655b436c3f5104e93",
+        "a6053d1fb0360a3cbd143f323a51f53e4f14c8575ab78b5cbb875d8c538c3d77",
+    ),
+    "study_optimize": (
+        "8e0b7b057f5b93e2551958add9ff420aa435332ba74e66372277d339cb3369d7",
+        "9d7ff9dd51ff6366645d55b698b0499a97fb06c325afa1dcd268930935653750",
+    ),
+    "study_steady": (
+        "9046a788a980d3850abc27ddfbe2843028373592502ea3f469cbbdb9f106b05e",
+        "9d7ff9dd51ff6366645d55b698b0499a97fb06c325afa1dcd268930935653750",
+    ),
+    "study_streamed_grid": (
+        "03fa21cebfa40126110507f66561992c90ddf6c6306979e004e48fff2494f8e3",
+        "9d7ff9dd51ff6366645d55b698b0499a97fb06c325afa1dcd268930935653750",
+    ),
+    "study_thermal_map": (
+        "e221714f328a496734fced4876ba176edc0137811705135923859ea43dbe33c9",
+        "12202fbe1b1418c3d9384e02ded1f4078483a50199eb3a6b81da109afc5d8b35",
+    ),
+    "study_transient": (
+        "dedd0846f87ed764dadcf387de876ff072152064dc63a97e77a10ee8ff15e5dc",
+        "9d7ff9dd51ff6366645d55b698b0499a97fb06c325afa1dcd268930935653750",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_spec_hash_corpus()))
+def test_spec_hashes_match_golden_values(name):
+    spec = _spec_hash_corpus()[name]
+    canonical = hashlib.sha256(spec.canonical_json().encode("utf-8")).hexdigest()
+    assert spec.content_hash() == canonical
+    assert (canonical, spec.engine_hash()) == GOLDEN_SPEC_HASHES[name]
+    assert StudySpec.from_dict(json.loads(spec.to_json())) == spec
+    assert StudySpec.from_json(spec.to_json()).canonical_json() == spec.canonical_json()

@@ -342,6 +342,26 @@ class TestHTTPServer:
         assert excinfo.value.body["error"]["field"] == "tolerance"
         assert "finite" in excinfo.value.body["error"]["message"]
 
+    def test_wrong_json_types_yield_400_naming_the_field(self, http_service):
+        host, port, _ = http_service
+        cases = (
+            ("floorplan", 5),
+            ("image_rings", [1]),
+            ("image_rings", 1.5),
+            ("map_samples", ["a", "b"]),
+            ("parameter_values", 5),
+            ("solver", {"max_iterations": 2.5}),
+        )
+        with StudyClient(host, port, timeout=60.0) as client:
+            for name, value in cases:
+                bad = steady_spec().to_dict()
+                bad[name] = value
+                with pytest.raises(ServeError) as excinfo:
+                    client.run(bad)
+                assert excinfo.value.status == 400, (name, value)
+                expected = "max_iterations" if name == "solver" else name
+                assert excinfo.value.body["error"]["field"] == expected
+
     def test_non_json_body_and_unknown_route_are_4xx(self, http_service):
         host, port, _ = http_service
         from http.client import HTTPConnection
@@ -394,6 +414,16 @@ class TestErrorBody:
     def test_known_field_word_is_found(self):
         body = error_body("ambient_temperature must be positive")
         assert body["error"]["field"] == "ambient_temperature"
+        # Optimize-block fields belong to the vocabulary too.
+        for message, field in (
+            (
+                "unknown strategy 'anneal'; known strategies: random, grid",
+                "strategy",
+            ),
+            ("budget must be an integer >= 1, got 0", "budget"),
+            ("lower must be finite, got nan", "lower"),
+        ):
+            assert error_body(message)["error"]["field"] == field
 
     def test_no_field_when_nothing_matches(self):
         body = error_body("request body is empty")
