@@ -15,12 +15,11 @@ fixed-point call instead of looping whole co-simulations per value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.cosim.scenarios import Scenario, ScenarioBatchResult, ScenarioEngine
-from ..core.cosim.streaming import stream_steady, stream_transient
 from ..core.cosim.transient_scenarios import (
     ActivityGrid,
     TransientBatchResult,
@@ -28,57 +27,39 @@ from ..core.cosim.transient_scenarios import (
 )
 from .grids import SurfaceGrid
 
-#: Steady series labels, in :func:`steady_batch_series` emission order.
-_STEADY_SERIES = (
-    "peak_temperature",
-    "peak_rise",
-    "total_power",
-    "total_static_power",
-    "converged",
-)
+#: Series of a batch's ``series()`` that echo a row's inputs or solver
+#: bookkeeping rather than measure it; sweep reports leave them out.
+_ROW_CONTEXT = frozenset({"iteration_counts", "ambient_temperatures", "runaway_times"})
 
-#: Transient series labels, in :func:`transient_batch_series` emission order.
-_TRANSIENT_SERIES = (
-    "peak_temperature",
-    "peak_rise",
-    "overshoot",
-    "settle_time",
-    "total_energy",
-    "runaway",
-)
+
+def sweep_series(series: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """The reported sweep subset of a batch's ``series()``, as float arrays.
+
+    One selection shared by the monolithic and streamed sweep studies of
+    the :mod:`repro.api` facade and the views below.
+    """
+    return {
+        name: np.asarray(values, dtype=float)
+        for name, values in series.items()
+        if name not in _ROW_CONTEXT
+    }
 
 
 def steady_batch_series(batch: ScenarioBatchResult) -> Dict[str, List[float]]:
-    """The standard per-scenario series of a steady batch.
-
-    One definition shared by :func:`scenario_sweep` and the sweep-kind
-    studies of the :mod:`repro.api` facade.
-    """
+    """The standard per-scenario sweep series of a steady batch (a view of
+    :meth:`~repro.core.cosim.scenarios.ScenarioBatchResult.series`)."""
     return {
-        "peak_temperature": [float(v) for v in batch.peak_temperature],
-        "peak_rise": [float(v) for v in batch.peak_rise],
-        "total_power": [float(v) for v in batch.total_power],
-        "total_static_power": [float(v) for v in batch.total_static_power],
-        "converged": [float(v) for v in batch.converged],
+        name: values.tolist() for name, values in sweep_series(batch.series()).items()
     }
 
 
 def transient_batch_series(
     batch: TransientBatchResult, settle_tolerance_kelvin: float = 0.5
 ) -> Dict[str, List[float]]:
-    """The standard per-scenario series of a transient batch.
-
-    One definition shared by :func:`transient_scenario_sweep` and the
-    facade's transient reporting.
-    """
-    return {
-        "peak_temperature": [float(v) for v in batch.peak_temperature],
-        "peak_rise": [float(v) for v in batch.peak_rise],
-        "overshoot": [float(v) for v in batch.overshoot],
-        "settle_time": [float(v) for v in batch.settle_times(settle_tolerance_kelvin)],
-        "total_energy": [float(v) for v in batch.total_energy()],
-        "runaway": [float(v) for v in batch.runaway],
-    }
+    """The standard per-scenario sweep series of a transient batch (a view of
+    :meth:`~repro.core.cosim.transient_scenarios.TransientBatchResult.series`)."""
+    series = batch.series(settle_tolerance_kelvin)
+    return {name: values.tolist() for name, values in sweep_series(series).items()}
 
 
 @dataclass
@@ -185,7 +166,6 @@ def scenario_sweep(
     ] = None,
     thermal_backend: Optional[str] = None,
     backend_options: Optional[Dict[str, int]] = None,
-    chunk_size: Optional[int] = None,
     **solve_kwargs,
 ) -> SweepResult:
     """One batched fixed point packaged as a :class:`SweepResult`.
@@ -212,12 +192,6 @@ def scenario_sweep(
         :meth:`~repro.core.cosim.scenarios.ScenarioEngine.with_backend`
         instead of ``engine``'s own backend — one keyword turns any sweep
         into a backend-comparison run.
-    chunk_size:
-        When set, solve through
-        :func:`~repro.core.cosim.streaming.stream_steady` in fixed-size
-        chunks with online reduction — same series, bit-identical values,
-        constant memory in the sweep length.  ``extra_series`` need the
-        full batch and are rejected under chunking.
     solve_kwargs:
         Forwarded to :meth:`~repro.core.cosim.scenarios.ScenarioEngine.solve`.
     """
@@ -229,20 +203,6 @@ def scenario_sweep(
         raise ValueError("backend_options require thermal_backend")
     result = SweepResult(parameter_name=parameter_name)
     result.values = [float(value) for value in values]
-    if chunk_size is not None:
-        if extra_series:
-            raise ValueError(
-                "extra_series evaluate against the full batch result and "
-                "are not available with chunked (chunk_size=) execution"
-            )
-        stream = stream_steady(
-            engine, scenarios, chunk_size=chunk_size, **solve_kwargs
-        )
-        result.results = {
-            label: [float(v) for v in stream.series[label]]
-            for label in _STEADY_SERIES
-        }
-        return result
     batch = engine.solve(list(scenarios), **solve_kwargs)
     result.results = steady_batch_series(batch)
     for label, evaluator in (extra_series or {}).items():
@@ -266,7 +226,6 @@ def transient_scenario_sweep(
     ] = None,
     thermal_backend: Optional[str] = None,
     backend_options: Optional[Dict[str, int]] = None,
-    chunk_size: Optional[int] = None,
     **simulate_kwargs,
 ) -> SweepResult:
     """One batched transient integration packaged as a :class:`SweepResult`.
@@ -299,12 +258,6 @@ def transient_scenario_sweep(
         When set, the sweep runs through
         :meth:`~repro.core.cosim.transient_scenarios.TransientScenarioEngine.with_backend`
         instead of ``engine``'s own backend.
-    chunk_size:
-        When set, integrate through
-        :func:`~repro.core.cosim.streaming.stream_transient` in fixed-size
-        chunks with online reduction — same series, bit-identical values,
-        memory bounded by the chunk (not the sweep).  ``extra_series`` need
-        the full batch and are rejected under chunking.
     simulate_kwargs:
         Further keyword arguments for
         :meth:`TransientScenarioEngine.simulate`.
@@ -317,27 +270,6 @@ def transient_scenario_sweep(
         raise ValueError("backend_options require thermal_backend")
     result = SweepResult(parameter_name=parameter_name)
     result.values = [float(value) for value in values]
-    if chunk_size is not None:
-        if extra_series:
-            raise ValueError(
-                "extra_series evaluate against the full batch result and "
-                "are not available with chunked (chunk_size=) execution"
-            )
-        stream = stream_transient(
-            engine,
-            scenarios,
-            duration,
-            time_step,
-            activity=activity,
-            chunk_size=chunk_size,
-            settle_tolerance_kelvin=settle_tolerance_kelvin,
-            **simulate_kwargs,
-        )
-        result.results = {
-            label: [float(v) for v in stream.series[label]]
-            for label in _TRANSIENT_SERIES
-        }
-        return result
     batch = engine.simulate(
         list(scenarios), duration, time_step, activity=activity, **simulate_kwargs
     )

@@ -19,10 +19,12 @@ thermal model — the result exposes the same surface:
   full rich API.  ``native`` is runtime-only: results reloaded from JSON
   carry ``native=None`` but identical arrays.
 
-The per-scenario metric series come from
-:func:`repro.analysis.sweep.steady_batch_series` /
-:func:`~repro.analysis.sweep.transient_batch_series`, so sweep-kind
-studies and the classic :func:`repro.analysis.sweep.scenario_sweep` /
+The array fields and per-scenario metric series come from the batch
+classes' ``FIELDS`` and ``series()``
+(:class:`~repro.core.cosim.scenarios.ScenarioBatchResult`,
+:class:`~repro.core.cosim.transient_scenarios.TransientBatchResult`), so
+monolithic, streamed and sweep-kind studies and the classic
+:func:`repro.analysis.sweep.scenario_sweep` /
 :func:`~repro.analysis.sweep.transient_scenario_sweep` helpers report the
 *same* quantities from one definition.
 """
@@ -31,14 +33,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..analysis.convergence import improvement
-from ..analysis.sweep import steady_batch_series
+from ..analysis.sweep import sweep_series
 from ..core.cosim.scenarios import ScenarioBatchResult
-from ..core.cosim.streaming import SteadyStreamResult, TransientStreamResult
+from ..core.cosim.streaming import StreamResult
 from ..core.cosim.transient_scenarios import TransientBatchResult
 from ..core.thermal.superposition import SurfaceMap
 from .specs import StudySpec, load_json_object
@@ -58,6 +60,17 @@ def _encode_array(array: np.ndarray) -> Dict[str, Any]:
 def _decode_array(data: Mapping[str, Any]) -> np.ndarray:
     array = np.asarray(data["data"], dtype=np.dtype(data["dtype"]))
     return array.reshape(tuple(data["shape"]))
+
+
+def _streaming_metadata(stream: StreamResult) -> Dict[str, Any]:
+    streaming: Dict[str, Any] = {
+        "chunk_size": int(stream.chunk_size),
+        "chunk_count": int(stream.chunk_count),
+        "reduced": stream.fields is None,
+    }
+    if stream.memmap_path is not None:
+        streaming["memmap_path"] = stream.memmap_path
+    return streaming
 
 
 class StudyResult:
@@ -118,21 +131,16 @@ class StudyResult:
     # Constructors (one per study kind)
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_steady_batch(
-        cls, spec: StudySpec, batch: ScenarioBatchResult
+    def _from_batch(
+        cls,
+        kind: str,
+        spec: StudySpec,
+        batch: Union[ScenarioBatchResult, TransientBatchResult],
     ) -> "StudyResult":
-        """Package a solved steady :class:`ScenarioBatchResult` for ``spec``."""
         return cls(
-            kind="steady",
+            kind=kind,
             spec=spec,
-            arrays={
-                "block_temperatures": batch.block_temperatures,
-                "dynamic_power": batch.dynamic_power,
-                "static_power": batch.static_power,
-                "ambient_temperatures": batch.ambient_temperatures,
-                "converged": batch.converged,
-                "iteration_counts": batch.iteration_counts,
-            },
+            arrays={name: getattr(batch, name) for name in batch.FIELDS},
             metadata={"block_names": list(batch.block_names)},
             deferred_metadata=lambda: {
                 "scenario_labels": [s.describe() for s in batch.scenarios]
@@ -141,27 +149,18 @@ class StudyResult:
         )
 
     @classmethod
+    def from_steady_batch(
+        cls, spec: StudySpec, batch: ScenarioBatchResult
+    ) -> "StudyResult":
+        """Package a solved steady :class:`ScenarioBatchResult` for ``spec``."""
+        return cls._from_batch("steady", spec, batch)
+
+    @classmethod
     def from_transient_batch(
         cls, spec: StudySpec, batch: TransientBatchResult
     ) -> "StudyResult":
         """Package a solved :class:`TransientBatchResult` for ``spec``."""
-        return cls(
-            kind="transient",
-            spec=spec,
-            arrays={
-                "times": batch.times,
-                "block_temperatures": batch.block_temperatures,
-                "block_powers": batch.block_powers,
-                "ambient_temperatures": batch.ambient_temperatures,
-                "runaway": batch.runaway,
-                "runaway_times": batch.runaway_times,
-            },
-            metadata={"block_names": list(batch.block_names)},
-            deferred_metadata=lambda: {
-                "scenario_labels": [s.describe() for s in batch.scenarios]
-            },
-            native=batch,
-        )
+        return cls._from_batch("transient", spec, batch)
 
     @classmethod
     def from_surface_map(
@@ -190,29 +189,45 @@ class StudyResult:
         )
 
     @classmethod
+    def _from_sweep(
+        cls,
+        spec: StudySpec,
+        series: Mapping[str, np.ndarray],
+        block_names: Sequence[str],
+        native: Any,
+        streaming: Optional[Dict[str, Any]] = None,
+        deferred_metadata: Optional[Any] = None,
+    ) -> "StudyResult":
+        reported = sweep_series(series)
+        metadata: Dict[str, Any] = {
+            "parameter_name": spec.parameter_name,
+            "series": list(reported),
+            "block_names": list(block_names),
+        }
+        if streaming is not None:
+            metadata["streaming"] = streaming
+        return cls(
+            kind="sweep",
+            spec=spec,
+            arrays={"values": np.asarray(spec.parameter_values, float), **reported},
+            metadata=metadata,
+            deferred_metadata=deferred_metadata,
+            native=native,
+        )
+
+    @classmethod
     def from_sweep_batch(
         cls, spec: StudySpec, batch: ScenarioBatchResult
     ) -> "StudyResult":
         """Package a sweep: per-scenario metric series over the parameter axis."""
-        series = steady_batch_series(batch)
-        arrays: Dict[str, np.ndarray] = {
-            "values": np.asarray(spec.parameter_values, dtype=float)
-        }
-        for label, column in series.items():
-            arrays[label] = np.asarray(column)
-        return cls(
-            kind="sweep",
-            spec=spec,
-            arrays=arrays,
-            metadata={
-                "parameter_name": spec.parameter_name,
-                "series": list(series),
-                "block_names": list(batch.block_names),
-            },
+        return cls._from_sweep(
+            spec,
+            batch.series(),
+            batch.block_names,
+            native=batch,
             deferred_metadata=lambda: {
                 "scenario_labels": [s.describe() for s in batch.scenarios]
             },
-            native=batch,
         )
 
     @classmethod
@@ -272,23 +287,30 @@ class StudyResult:
     # ------------------------------------------------------------------ #
     # Streamed constructors (chunked execution, possibly reduced)
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _streaming_metadata(
-        stream: Union[SteadyStreamResult, TransientStreamResult],
-    ) -> Dict[str, Any]:
-        streaming: Dict[str, Any] = {
-            "chunk_size": int(stream.chunk_size),
-            "chunk_count": int(stream.chunk_count),
-            "reduced": stream.fields is None,
-        }
-        if stream.memmap_path is not None:
-            streaming["memmap_path"] = stream.memmap_path
-        return streaming
+    @classmethod
+    def _from_stream(
+        cls, kind: str, spec: StudySpec, stream: StreamResult, fields: Tuple[str, ...]
+    ) -> "StudyResult":
+        if stream.fields is not None:
+            arrays = {name: stream.fields[name] for name in fields}
+        else:
+            arrays = dict(stream.series)
+            if stream.times is not None:
+                arrays["times"] = stream.times
+            arrays["block_temperature_max"] = stream.block_temperature_max
+        return cls(
+            kind=kind,
+            spec=spec,
+            arrays=arrays,
+            metadata={
+                "block_names": list(stream.block_names),
+                "streaming": _streaming_metadata(stream),
+            },
+            native=stream,
+        )
 
     @classmethod
-    def from_steady_stream(
-        cls, spec: StudySpec, stream: SteadyStreamResult
-    ) -> "StudyResult":
+    def from_steady_stream(cls, spec: StudySpec, stream: StreamResult) -> "StudyResult":
         """Wrap a streamed steady run.
 
         With retained fields (in RAM or memmapped) the arrays are exactly
@@ -296,98 +318,29 @@ class StudyResult:
         path; a reduced run instead carries the 1-D per-scenario metric
         series plus the per-block maxima — constant-size in the grid.
         """
-        if stream.fields is not None:
-            arrays = {
-                name: stream.fields[name]
-                for name in (
-                    "block_temperatures",
-                    "dynamic_power",
-                    "static_power",
-                    "ambient_temperatures",
-                    "converged",
-                    "iteration_counts",
-                )
-            }
-        else:
-            arrays = dict(stream.series)
-            arrays["block_temperature_max"] = stream.block_temperature_max
-        return cls(
-            kind="steady",
-            spec=spec,
-            arrays=arrays,
-            metadata={
-                "block_names": list(stream.block_names),
-                "streaming": cls._streaming_metadata(stream),
-            },
-            native=stream,
-        )
+        return cls._from_stream("steady", spec, stream, ScenarioBatchResult.FIELDS)
 
     @classmethod
     def from_transient_stream(
-        cls, spec: StudySpec, stream: TransientStreamResult
+        cls, spec: StudySpec, stream: StreamResult
     ) -> "StudyResult":
         """Wrap a streamed transient run (see :meth:`from_steady_stream`)."""
-        if stream.fields is not None:
-            arrays = {
-                name: stream.fields[name]
-                for name in (
-                    "times",
-                    "block_temperatures",
-                    "block_powers",
-                    "ambient_temperatures",
-                    "runaway",
-                    "runaway_times",
-                )
-            }
-        else:
-            arrays = dict(stream.series)
-            arrays["times"] = stream.times
-            arrays["block_temperature_max"] = stream.block_temperature_max
-        return cls(
-            kind="transient",
-            spec=spec,
-            arrays=arrays,
-            metadata={
-                "block_names": list(stream.block_names),
-                "streaming": cls._streaming_metadata(stream),
-            },
-            native=stream,
-        )
+        return cls._from_stream("transient", spec, stream, TransientBatchResult.FIELDS)
 
     @classmethod
-    def from_sweep_stream(
-        cls, spec: StudySpec, stream: SteadyStreamResult
-    ) -> "StudyResult":
+    def from_sweep_stream(cls, spec: StudySpec, stream: StreamResult) -> "StudyResult":
         """Wrap a streamed steady run as a 1-D parameter sweep.
 
         Reports the same series, in the same order and dtype, as
-        :meth:`from_sweep_batch` builds from
-        :func:`repro.analysis.sweep.steady_batch_series` — the streamed
-        values are bit-identical to their monolithic counterparts.
+        :meth:`from_sweep_batch` — the streamed values are bit-identical to
+        their monolithic counterparts.
         """
-        labels = (
-            "peak_temperature",
-            "peak_rise",
-            "total_power",
-            "total_static_power",
-            "converged",
-        )
-        arrays: Dict[str, np.ndarray] = {
-            "values": np.asarray(spec.parameter_values, dtype=float)
-        }
-        for label in labels:
-            arrays[label] = np.asarray(stream.series[label], dtype=float)
-        return cls(
-            kind="sweep",
-            spec=spec,
-            arrays=arrays,
-            metadata={
-                "parameter_name": spec.parameter_name,
-                "series": list(labels),
-                "block_names": list(stream.block_names),
-                "streaming": cls._streaming_metadata(stream),
-            },
+        return cls._from_sweep(
+            spec,
+            stream.series,
+            stream.block_names,
             native=stream,
+            streaming=_streaming_metadata(stream),
         )
 
     # ------------------------------------------------------------------ #

@@ -253,6 +253,23 @@ def _plain_mapping(value: Any, label: str) -> Mapping[str, Any]:
     return MappingProxyType(_freeze(dict(value), label))
 
 
+def _number_mapping(value: Any, label: str) -> Mapping[str, Any]:
+    """:func:`_plain_mapping` whose every entry is a finite number or a
+    (nested) list of them; the error names the entry's key."""
+
+    def check(entry: Any, name: str) -> None:
+        if isinstance(entry, tuple):
+            for item in entry:
+                check(item, name)
+        else:
+            _number(entry, name)
+
+    mapping = _plain_mapping(value, label)
+    for key, entry in mapping.items():
+        check(entry, f"{label}[{key!r}]")
+    return mapping
+
+
 def _activity(value: Any, label: str) -> Union[float, Mapping[str, float]]:
     """A non-negative activity factor, scalar or per block."""
     if isinstance(value, abc.Mapping):
@@ -516,7 +533,10 @@ class FloorplanSpec(_Spec):
     )
 
     def _validate(self) -> None:
-        self.build()  # validates fit and overlaps eagerly
+        try:
+            self.build()  # validates fit and overlaps eagerly
+        except ValueError as error:
+            raise ValueError(f"blocks: {error}") from None
 
     @classmethod
     def from_floorplan(cls, floorplan: Floorplan) -> "FloorplanSpec":
@@ -580,7 +600,7 @@ class WorkloadSpec(_Spec):
 
     _CHECKS = {
         "kind": _choice(WORKLOAD_KINDS, "workload kind", "kinds"),
-        "parameters": _plain_mapping,
+        "parameters": _number_mapping,
     }
     _REFUSES = (ActivityGrid, "activity grids are not serializable")
 
@@ -599,7 +619,10 @@ class WorkloadSpec(_Spec):
                 f"{self.kind!r} workload has unknown parameter(s): "
                 f"{', '.join(unknown)}; allowed: {', '.join(sorted(allowed))}"
             )
-        self.build()  # validate parameter values eagerly
+        try:
+            self.build()  # validate parameter values eagerly
+        except ValueError as error:
+            raise ValueError(f"parameters: {error}") from None
 
     def build(self) -> ActivityGrid:
         """Materialize the vectorized :class:`ActivityGrid`."""

@@ -26,9 +26,8 @@ from .streaming import (
     ChunkPlan,
     OnlineSteadyReduction,
     OnlineTransientReduction,
-    SteadyStreamResult,
     StreamProgress,
-    TransientStreamResult,
+    StreamResult,
     format_progress,
     stream_steady,
     stream_transient,
@@ -84,9 +83,8 @@ __all__ = [
     "ChunkPlan",
     "OnlineSteadyReduction",
     "OnlineTransientReduction",
-    "SteadyStreamResult",
     "StreamProgress",
-    "TransientStreamResult",
+    "StreamResult",
     "format_progress",
     "stream_steady",
     "stream_transient",

@@ -120,14 +120,23 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.supply_voltage is not None and self.supply_voltage <= 0.0:
+        # Each chained comparison rejects NaN, +-inf and a wrong sign at
+        # once (grids build one Scenario per row); only a rejected value
+        # pays for the finite check that names it.
+        supply, ambient = self.supply_voltage, self.ambient_temperature
+        if supply is not None and not 0.0 < supply < math.inf:
+            require_finite(supply_voltage=supply)
             raise ValueError("supply_voltage must be positive")
-        if self.ambient_temperature is not None and self.ambient_temperature <= 0.0:
+        if ambient is not None and not 0.0 < ambient < math.inf:
+            require_finite(ambient_temperature=ambient)
             raise ValueError("ambient_temperature must be positive (Kelvin)")
         if isinstance(self.activity, abc.Mapping):
-            if any(value < 0.0 for value in self.activity.values()):
-                raise ValueError("activity factors must be non-negative")
-        elif self.activity < 0.0:
+            for name, value in self.activity.items():
+                if not 0.0 <= value < math.inf:
+                    require_finite(**{f"activity[{name!r}]": value})
+                    raise ValueError("activity factors must be non-negative")
+        elif not 0.0 <= self.activity < math.inf:
+            require_finite(activity=self.activity)
             raise ValueError("activity must be non-negative")
 
     @property
@@ -198,6 +207,10 @@ def scenario_grid_stream(
     supply_scales = tuple(supply_scales)
     ambient_temperatures = tuple(ambient_temperatures)
     activities = tuple(activities)
+    for scale in supply_scales:
+        require_finite(supply_scales=scale)
+    for ambient in ambient_temperatures:
+        require_finite(ambient_temperatures=ambient)
 
     def generate() -> Iterator[Scenario]:
         for technology in technologies:
@@ -473,6 +486,16 @@ class ScenarioBatchResult:
     with blocks ordered as :attr:`block_names`.
     """
 
+    #: The per-scenario array fields, in reporting order.
+    FIELDS = (
+        "block_temperatures",
+        "dynamic_power",
+        "static_power",
+        "ambient_temperatures",
+        "converged",
+        "iteration_counts",
+    )
+
     scenarios: Tuple[Scenario, ...]
     block_names: Tuple[str, ...]
     block_temperatures: np.ndarray
@@ -510,6 +533,24 @@ class ScenarioBatchResult:
         """Hottest block rise [K] above each scenario's ambient."""
         return self.peak_temperature - self.ambient_temperatures
 
+    def series(self) -> Dict[str, np.ndarray]:
+        """The standard per-scenario series, one 1-D array each.
+
+        The one definition behind the sweep reports
+        (:func:`repro.analysis.sweep.steady_batch_series`), the streamed
+        online reduction (:mod:`repro.core.cosim.streaming`) and reduced
+        study results.
+        """
+        return {
+            "peak_temperature": self.peak_temperature,
+            "peak_rise": self.peak_rise,
+            "total_power": self.total_power,
+            "total_static_power": self.total_static_power,
+            "converged": self.converged,
+            "iteration_counts": self.iteration_counts,
+            "ambient_temperatures": self.ambient_temperatures,
+        }
+
     def hottest_blocks(self) -> Tuple[str, ...]:
         """Name of the hottest block per scenario."""
         indices = np.argmax(self.block_temperatures, axis=1)
@@ -538,12 +579,7 @@ class ScenarioBatchResult:
         return ScenarioBatchResult(
             scenarios=self.scenarios[window],
             block_names=self.block_names,
-            block_temperatures=self.block_temperatures[window],
-            dynamic_power=self.dynamic_power[window],
-            static_power=self.static_power[window],
-            ambient_temperatures=self.ambient_temperatures[window],
-            converged=self.converged[window],
-            iteration_counts=self.iteration_counts[window],
+            **{name: getattr(self, name)[window] for name in self.FIELDS},
         )
 
     def scenario_result(self, index: int) -> CosimResult:

@@ -9,15 +9,16 @@ bottleneck.  This module keeps memory flat in the grid size instead:
 * :class:`ChunkPlan` cuts a (possibly lazy) scenario stream into
   fixed-size chunks, so the solver's working set scales with the chunk
   size, not with the grid;
-* :class:`OnlineSteadyReduction` / :class:`OnlineTransientReduction`
-  accumulate the standard per-scenario metric series (peak temperature and
-  rise, powers, convergence/runaway verdicts and first-crossing times,
-  settle times, energy) plus global and per-block aggregates chunk by
-  chunk, without ever holding the full field tensor;
-* :func:`stream_steady` / :func:`stream_transient` drive the two engines
-  over a plan, optionally persisting the *full* per-scenario fields to
-  ``numpy`` memmaps (real ``.npy`` files, reloadable with ``np.load``)
-  when the caller does want every row on disk.
+* one online reduction (:class:`OnlineSteadyReduction` /
+  :class:`OnlineTransientReduction` only pick the batch kind) folds each
+  chunk's ``series()`` — the batch classes' one definition of the
+  per-scenario metric series — plus the per-block maximum temperature,
+  without ever holding the full field tensor;
+* :func:`stream_steady` / :func:`stream_transient` supply the per-chunk
+  solve to one chunk loop, which owns the plan, the row offset, progress
+  and the optional persistence of the *full* per-scenario fields (each
+  batch kind's ``FIELDS``) in RAM or as ``numpy`` memmaps (real ``.npy``
+  files, reloadable with ``np.load``); both return a :class:`StreamResult`.
 
 Chunked execution is **bit-identical** to the monolithic path by
 construction: both run the one implementation of each update loop
@@ -56,6 +57,9 @@ DEFAULT_CHUNK_SIZE = 65536
 #: Default rows per chunk for transient integrations, where each row
 #: carries a full time history (``steps x blocks``) through the chunk.
 DEFAULT_TRANSIENT_CHUNK_SIZE = 2048
+
+#: A solved chunk of either engine.
+_Batch = Union[ScenarioBatchResult, TransientBatchResult]
 
 
 class ChunkPlan:
@@ -192,58 +196,40 @@ class _FieldSink:
         return dict(self._arrays)
 
 
-class OnlineSteadyReduction:
-    """Chunk-by-chunk accumulator of the steady batch metrics.
+class _OnlineReduction:
+    """Chunk-by-chunk fold of a batch kind's per-scenario series.
 
-    Per-scenario series (1-D over the whole grid) and global/per-block
-    aggregates are computed from each chunk's
-    :class:`~repro.core.cosim.scenarios.ScenarioBatchResult` through the
-    *same* property definitions the monolithic path reports, so streamed
-    values are bit-identical to their monolithic counterparts (``max`` and
-    ``sum``-per-row commute with chunking because every reduction here is
-    per-row or an exact associative fold).
+    Each chunk's batch result contributes its own ``series()`` — the *same*
+    definition the monolithic path reports — plus its per-block maximum
+    temperature, so streamed values are bit-identical to their monolithic
+    counterparts (every series is per-row and ``max`` is an exact
+    associative fold, so chunk boundaries cannot change a single float).
     """
 
-    #: Per-scenario series accumulated, in emission order.
-    SERIES = (
-        "peak_temperature",
-        "peak_rise",
-        "total_power",
-        "total_static_power",
-        "converged",
-        "iteration_counts",
-        "ambient_temperatures",
-    )
-
     def __init__(self) -> None:
-        self._series: Dict[str, List[np.ndarray]] = {
-            name: [] for name in self.SERIES
-        }
+        self._series: Dict[str, List[np.ndarray]] = {}
         self.scenario_count = 0
         self.chunk_count = 0
-        self.converged_count = 0
         self.block_names: Tuple[str, ...] = ()
+        #: Shared step grid of transient chunks (``None`` for steady).
+        self.times: Optional[np.ndarray] = None
         self._block_max: Optional[np.ndarray] = None
 
-    def update(self, batch: ScenarioBatchResult) -> None:
+    def _batch_series(self, batch: _Batch) -> Dict[str, np.ndarray]:
+        return batch.series()
+
+    def update(self, batch: _Batch) -> None:
         """Fold one chunk's batch result into the running reduction."""
         if not self.block_names:
             self.block_names = batch.block_names
         elif self.block_names != batch.block_names:
             raise ValueError("chunks must share one block ordering")
-        self._series["peak_temperature"].append(batch.peak_temperature)
-        self._series["peak_rise"].append(batch.peak_rise)
-        self._series["total_power"].append(batch.total_power)
-        self._series["total_static_power"].append(batch.total_static_power)
-        self._series["converged"].append(batch.converged.copy())
-        self._series["iteration_counts"].append(batch.iteration_counts.copy())
-        self._series["ambient_temperatures"].append(
-            batch.ambient_temperatures.copy()
-        )
+        for name, values in self._batch_series(batch).items():
+            self._series.setdefault(name, []).append(values)
         self.scenario_count += len(batch)
         self.chunk_count += 1
-        self.converged_count += int(batch.converged.sum())
-        chunk_max = batch.block_temperatures.max(axis=0)
+        temperatures = batch.block_temperatures
+        chunk_max = temperatures.reshape(-1, temperatures.shape[-1]).max(axis=0)
         if self._block_max is None:
             self._block_max = chunk_max
         else:
@@ -253,128 +239,52 @@ class OnlineSteadyReduction:
         """The accumulated per-scenario series, concatenated."""
         if self.scenario_count == 0:
             raise ValueError("no chunks were reduced")
-        return {
-            name: np.concatenate(parts) for name, parts in self._series.items()
-        }
+        return {name: np.concatenate(parts) for name, parts in self._series.items()}
 
     @property
     def block_temperature_max(self) -> np.ndarray:
-        """Hottest junction temperature [K] per block over the grid."""
+        """Hottest (sampled) junction temperature [K] per block over the grid."""
         if self._block_max is None:
             raise ValueError("no chunks were reduced")
         return self._block_max
 
-    @property
-    def runaway_count(self) -> int:
-        """Scenarios reporting non-convergence (incl. runaway ceiling)."""
-        return self.scenario_count - self.converged_count
+
+class OnlineSteadyReduction(_OnlineReduction):
+    """Online reduction of steady chunks: folds
+    :meth:`~repro.core.cosim.scenarios.ScenarioBatchResult.series`."""
 
 
-class OnlineTransientReduction:
-    """Chunk-by-chunk accumulator of the transient batch metrics.
-
-    The per-scenario transient metrics (peak, overshoot, settle time,
-    energy, runaway) each depend only on that scenario's own time history,
-    which is complete within its chunk — so folding chunk results through
-    the same :class:`TransientBatchResult` properties the monolithic path
-    uses reproduces the monolithic series bit-for-bit.
-    """
-
-    SERIES = (
-        "peak_temperature",
-        "peak_rise",
-        "overshoot",
-        "settle_time",
-        "total_energy",
-        "runaway",
-        "runaway_times",
-        "ambient_temperatures",
-    )
+class OnlineTransientReduction(_OnlineReduction):
+    """Online reduction of transient chunks: folds
+    :meth:`~repro.core.cosim.transient_scenarios.TransientBatchResult.series`
+    at ``settle_tolerance_kelvin`` and checks every chunk shares one time
+    grid (kept as :attr:`times`)."""
 
     def __init__(self, settle_tolerance_kelvin: float = 0.5) -> None:
         if settle_tolerance_kelvin <= 0.0:
             raise ValueError("settle_tolerance_kelvin must be positive")
+        super().__init__()
         self.settle_tolerance_kelvin = float(settle_tolerance_kelvin)
-        self._series: Dict[str, List[np.ndarray]] = {
-            name: [] for name in self.SERIES
-        }
-        self.scenario_count = 0
-        self.chunk_count = 0
-        self.runaway_count = 0
-        self.block_names: Tuple[str, ...] = ()
-        self.times: Optional[np.ndarray] = None
-        self._block_max: Optional[np.ndarray] = None
-        self._max_overshoot = 0.0
 
-    def update(self, batch: TransientBatchResult) -> None:
-        """Fold one chunk's transient result into the running reduction."""
-        if not self.block_names:
-            self.block_names = batch.block_names
-        elif self.block_names != batch.block_names:
-            raise ValueError("chunks must share one block ordering")
+    def _batch_series(self, batch: TransientBatchResult) -> Dict[str, np.ndarray]:
         if self.times is None:
             self.times = np.asarray(batch.times).copy()
         elif not np.array_equal(self.times, batch.times):
             raise ValueError("chunks must share one time grid")
-        overshoot = batch.overshoot
-        self._series["peak_temperature"].append(batch.peak_temperature)
-        self._series["peak_rise"].append(batch.peak_rise)
-        self._series["overshoot"].append(overshoot)
-        self._series["settle_time"].append(
-            batch.settle_times(self.settle_tolerance_kelvin)
-        )
-        self._series["total_energy"].append(batch.total_energy())
-        self._series["runaway"].append(batch.runaway.copy())
-        self._series["runaway_times"].append(batch.runaway_times.copy())
-        self._series["ambient_temperatures"].append(
-            batch.ambient_temperatures.copy()
-        )
-        self.scenario_count += len(batch)
-        self.chunk_count += 1
-        self.runaway_count += int(batch.runaway.sum())
-        self._max_overshoot = max(self._max_overshoot, float(overshoot.max()))
-        chunk_max = batch.block_temperatures.max(axis=(0, 1))
-        if self._block_max is None:
-            self._block_max = chunk_max
-        else:
-            self._block_max = np.maximum(self._block_max, chunk_max)
-
-    def series(self) -> Dict[str, np.ndarray]:
-        """The accumulated per-scenario series, concatenated."""
-        if self.scenario_count == 0:
-            raise ValueError("no chunks were reduced")
-        return {
-            name: np.concatenate(parts) for name, parts in self._series.items()
-        }
-
-    @property
-    def block_temperature_max(self) -> np.ndarray:
-        """Hottest sampled temperature [K] per block over the grid."""
-        if self._block_max is None:
-            raise ValueError("no chunks were reduced")
-        return self._block_max
-
-    @property
-    def max_overshoot(self) -> float:
-        """Largest overshoot [K] above the final state over the grid."""
-        return self._max_overshoot
-
-    @property
-    def step_count(self) -> int:
-        """Samples of the shared time grid."""
-        if self.times is None:
-            raise ValueError("no chunks were reduced")
-        return int(self.times.shape[0])
+        return batch.series(self.settle_tolerance_kelvin)
 
 
 @dataclass(frozen=True)
-class SteadyStreamResult:
-    """Reduced result of a streamed steady run.
+class StreamResult:
+    """Reduced result of a streamed steady or transient run.
 
-    ``series`` holds the per-scenario 1-D metric arrays (8 MB per million
-    scenarios per series — the constant-memory payload); ``fields`` holds
-    the full ``(scenarios, blocks)`` arrays only when field retention or a
-    memmap directory was requested, ``None`` otherwise.
+    ``series`` holds the per-scenario 1-D metric arrays of the batch kind's
+    ``series()`` (8 MB per million scenarios per series — the
+    constant-memory payload); ``times`` is the shared step grid of a
+    transient run (``None`` for steady); ``fields`` holds the full
+    per-scenario arrays only when field retention or a memmap directory
+    was requested, ``None`` otherwise.  The counts below derive from the
+    series.
     """
 
     block_names: Tuple[str, ...]
@@ -383,69 +293,102 @@ class SteadyStreamResult:
     chunk_size: int
     series: Dict[str, np.ndarray]
     block_temperature_max: np.ndarray
-    converged_count: int
     elapsed_seconds: float
+    times: Optional[np.ndarray] = None
     fields: Optional[Dict[str, np.ndarray]] = None
     memmap_path: Optional[str] = None
 
     @property
+    def converged_count(self) -> int:
+        """Converged scenarios of a steady run."""
+        return int(np.count_nonzero(self.series["converged"]))
+
+    @property
     def runaway_count(self) -> int:
-        """Scenarios reporting non-convergence (incl. runaway ceiling)."""
+        """Transient runaway flags, or steady rows that did not converge
+        (incl. the runaway ceiling)."""
+        if "runaway" in self.series:
+            return int(np.count_nonzero(self.series["runaway"]))
         return self.scenario_count - self.converged_count
 
     @property
+    def max_overshoot(self) -> float:
+        """Largest overshoot [K] above the final state over a transient grid."""
+        return float(self.series["overshoot"].max())
+
+    @property
     def peak_temperature(self) -> float:
-        """Hottest junction temperature [K] over the whole grid."""
+        """Hottest (sampled) junction temperature [K] over the whole grid."""
         return float(self.series["peak_temperature"].max())
 
     @property
     def max_total_power(self) -> float:
-        """Largest chip total power [W] over the whole grid."""
+        """Largest chip total power [W] over a steady grid."""
         return float(self.series["total_power"].max())
 
 
-@dataclass(frozen=True)
-class TransientStreamResult:
-    """Reduced result of a streamed transient run (see
-    :class:`SteadyStreamResult`; ``times`` is the shared step grid)."""
-
-    block_names: Tuple[str, ...]
-    scenario_count: int
-    chunk_count: int
-    chunk_size: int
-    times: np.ndarray
-    series: Dict[str, np.ndarray]
-    block_temperature_max: np.ndarray
-    runaway_count: int
-    max_overshoot: float
-    elapsed_seconds: float
-    fields: Optional[Dict[str, np.ndarray]] = None
-    memmap_path: Optional[str] = None
-
-    @property
-    def step_count(self) -> int:
-        """Samples of the shared time grid."""
-        return int(self.times.shape[0])
-
-    @property
-    def peak_temperature(self) -> float:
-        """Hottest sampled temperature [K] over the whole grid."""
-        return float(self.series["peak_temperature"].max())
-
-
-def _prepare_sink(
+def _stream(
+    scenarios: Iterable[Scenario],
+    solve: Callable[[List[Scenario], int], _Batch],
+    reduction: _OnlineReduction,
+    chunk_size: int,
+    total: Optional[int],
     keep_fields: bool,
     memmap_path: Optional[Union[str, Path]],
-    total: Optional[int],
-) -> Optional[_FieldSink]:
+    progress: Optional[ProgressCallback],
+) -> StreamResult:
+    """The one chunk loop behind :func:`stream_steady` and
+    :func:`stream_transient`: ``solve(chunk, offset)`` is the only per-kind
+    step; the plan, field sink, row offset and progress live here."""
+    plan = ChunkPlan(chunk_size)
     if not keep_fields and memmap_path is None:
-        return None
-    if total is None:
+        sink = None
+    elif total is None:
         raise ValueError(
             "full-field retention needs the grid size up front: pass a sized "
             "scenario sequence or total="
         )
-    return _FieldSink(total, memmap_path)
+    else:
+        sink = _FieldSink(total, memmap_path)
+    started = time.perf_counter()
+    offset = 0
+    for chunk_index, chunk in enumerate(plan.chunks(scenarios)):
+        if total is not None and offset + len(chunk) > total:
+            raise ValueError(f"total={total} but the scenarios yield more rows")
+        batch = solve(chunk, offset)
+        reduction.update(batch)
+        if sink is not None:
+            for name in batch.FIELDS:
+                if name == "times":  # the one grid-wide (not per-row) field
+                    sink.write_shared(name, batch.times)
+                else:
+                    sink.write(name, offset, getattr(batch, name))
+        offset += len(batch)
+        if progress is not None:
+            progress(
+                StreamProgress(
+                    rows_done=offset,
+                    total_rows=total,
+                    chunk_index=chunk_index,
+                    elapsed_seconds=time.perf_counter() - started,
+                )
+            )
+    if offset == 0:
+        raise ValueError("at least one scenario is required")
+    if total is not None and offset != total:
+        raise ValueError(f"total={total} but the scenarios yield {offset} rows")
+    return StreamResult(
+        block_names=reduction.block_names,
+        scenario_count=reduction.scenario_count,
+        chunk_count=reduction.chunk_count,
+        chunk_size=plan.chunk_size,
+        series=reduction.series(),
+        block_temperature_max=reduction.block_temperature_max,
+        elapsed_seconds=time.perf_counter() - started,
+        times=reduction.times,
+        fields=sink.finalize() if sink is not None else None,
+        memmap_path=str(memmap_path) if memmap_path is not None else None,
+    )
 
 
 def stream_steady(
@@ -460,7 +403,7 @@ def stream_steady(
     tolerance: float = 0.01,
     damping: float = 1.0,
     max_temperature: float = 500.0,
-) -> SteadyStreamResult:
+) -> StreamResult:
     """Solve a scenario stream chunk by chunk with online reduction.
 
     Parameters
@@ -476,7 +419,8 @@ def stream_steady(
         the grid.
     total:
         Grid size when ``scenarios`` is an unsized iterator (required only
-        for full-field retention and progress ETAs).
+        for full-field retention and progress ETAs); a stream yielding a
+        different row count is rejected.
     keep_fields, memmap_path:
         Retain the full per-scenario field arrays — in memory
         (``keep_fields=True``) or as ``<name>.npy`` memmaps under the given
@@ -489,51 +433,25 @@ def stream_steady(
         :meth:`~repro.core.cosim.scenarios.ScenarioEngine.solve`.
     """
     validate_fixed_point_options(max_iterations, tolerance, damping, max_temperature)
-    plan = ChunkPlan(chunk_size)
-    total = _known_total(scenarios, total)
-    sink = _prepare_sink(keep_fields, memmap_path, total)
-    reduction = OnlineSteadyReduction()
-    started = time.perf_counter()
-    offset = 0
-    for chunk_index, chunk in enumerate(plan.chunks(scenarios)):
-        batch = engine.solve(
+
+    def solve(chunk: List[Scenario], offset: int) -> ScenarioBatchResult:
+        return engine.solve(
             chunk,
             max_iterations=max_iterations,
             tolerance=tolerance,
             damping=damping,
             max_temperature=max_temperature,
         )
-        reduction.update(batch)
-        if sink is not None:
-            sink.write("block_temperatures", offset, batch.block_temperatures)
-            sink.write("dynamic_power", offset, batch.dynamic_power)
-            sink.write("static_power", offset, batch.static_power)
-            sink.write("ambient_temperatures", offset, batch.ambient_temperatures)
-            sink.write("converged", offset, batch.converged)
-            sink.write("iteration_counts", offset, batch.iteration_counts)
-        offset += len(batch)
-        if progress is not None:
-            progress(
-                StreamProgress(
-                    rows_done=offset,
-                    total_rows=total,
-                    chunk_index=chunk_index,
-                    elapsed_seconds=time.perf_counter() - started,
-                )
-            )
-    if reduction.scenario_count == 0:
-        raise ValueError("at least one scenario is required")
-    return SteadyStreamResult(
-        block_names=reduction.block_names,
-        scenario_count=reduction.scenario_count,
-        chunk_count=reduction.chunk_count,
-        chunk_size=plan.chunk_size,
-        series=reduction.series(),
-        block_temperature_max=reduction.block_temperature_max,
-        converged_count=reduction.converged_count,
-        elapsed_seconds=time.perf_counter() - started,
-        fields=sink.finalize() if sink is not None else None,
-        memmap_path=str(memmap_path) if memmap_path is not None else None,
+
+    return _stream(
+        scenarios,
+        solve,
+        OnlineSteadyReduction(),
+        chunk_size,
+        _known_total(scenarios, total),
+        keep_fields,
+        memmap_path,
+        progress,
     )
 
 
@@ -550,7 +468,7 @@ def stream_transient(
     progress: Optional[ProgressCallback] = None,
     settle_tolerance_kelvin: float = 0.5,
     **simulate_kwargs,
-) -> TransientStreamResult:
+) -> StreamResult:
     """Integrate a scenario stream chunk by chunk with online reduction.
 
     The transient counterpart of :func:`stream_steady`: each chunk runs
@@ -561,9 +479,9 @@ def stream_transient(
     ``total=`` when the activity varies per scenario), and the standard
     transient metrics are reduced online.  ``settle_tolerance_kelvin`` is
     the reporting band of the ``settle_time`` series, as in
-    :func:`repro.analysis.sweep.transient_batch_series`.
+    :meth:`~repro.core.cosim.transient_scenarios.TransientBatchResult.series`.
     """
-    plan = ChunkPlan(chunk_size)
+    reduction = OnlineTransientReduction(settle_tolerance_kelvin)
     total = _known_total(scenarios, total)
     if total is None and activity is not None:
         values = np.asarray(activity.values(0.0), dtype=float)
@@ -572,12 +490,9 @@ def stream_transient(
                 "per-scenario activity grids need the grid size up front: "
                 "pass a sized scenario sequence or total="
             )
-    sink = _prepare_sink(keep_fields, memmap_path, total)
-    reduction = OnlineTransientReduction(settle_tolerance_kelvin)
-    started = time.perf_counter()
-    offset = 0
-    for chunk_index, chunk in enumerate(plan.chunks(scenarios)):
-        batch = engine.simulate(
+
+    def solve(chunk: List[Scenario], offset: int) -> TransientBatchResult:
+        return engine.simulate(
             chunk,
             duration,
             time_step,
@@ -588,40 +503,16 @@ def stream_transient(
             total_scenarios=total,
             **simulate_kwargs,
         )
-        reduction.update(batch)
-        if sink is not None:
-            sink.write_shared("times", batch.times)
-            sink.write("block_temperatures", offset, batch.block_temperatures)
-            sink.write("block_powers", offset, batch.block_powers)
-            sink.write("ambient_temperatures", offset, batch.ambient_temperatures)
-            sink.write("runaway", offset, batch.runaway)
-            sink.write("runaway_times", offset, batch.runaway_times)
-        offset += len(batch)
-        if progress is not None:
-            progress(
-                StreamProgress(
-                    rows_done=offset,
-                    total_rows=total,
-                    chunk_index=chunk_index,
-                    elapsed_seconds=time.perf_counter() - started,
-                )
-            )
-    if reduction.scenario_count == 0:
-        raise ValueError("at least one scenario is required")
-    assert reduction.times is not None
-    return TransientStreamResult(
-        block_names=reduction.block_names,
-        scenario_count=reduction.scenario_count,
-        chunk_count=reduction.chunk_count,
-        chunk_size=plan.chunk_size,
-        times=reduction.times,
-        series=reduction.series(),
-        block_temperature_max=reduction.block_temperature_max,
-        runaway_count=reduction.runaway_count,
-        max_overshoot=reduction.max_overshoot,
-        elapsed_seconds=time.perf_counter() - started,
-        fields=sink.finalize() if sink is not None else None,
-        memmap_path=str(memmap_path) if memmap_path is not None else None,
+
+    return _stream(
+        scenarios,
+        solve,
+        reduction,
+        chunk_size,
+        total,
+        keep_fields,
+        memmap_path,
+        progress,
     )
 
 

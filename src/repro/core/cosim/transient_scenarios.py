@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -403,6 +403,17 @@ class TransientBatchResult:
     are read-only.
     """
 
+    #: The array fields, in reporting order: the shared step grid, then the
+    #: per-scenario arrays.
+    FIELDS = (
+        "times",
+        "block_temperatures",
+        "block_powers",
+        "ambient_temperatures",
+        "runaway",
+        "runaway_times",
+    )
+
     scenarios: Tuple[Scenario, ...]
     block_names: Tuple[str, ...]
     times: np.ndarray
@@ -415,14 +426,7 @@ class TransientBatchResult:
     def __post_init__(self) -> None:
         # Expose read-only views; arrays the caller constructed the result
         # from keep their own writability.
-        for attribute in (
-            "times",
-            "block_temperatures",
-            "block_powers",
-            "ambient_temperatures",
-            "runaway",
-            "runaway_times",
-        ):
+        for attribute in self.FIELDS:
             view = np.asarray(getattr(self, attribute)).view()
             view.setflags(write=False)
             object.__setattr__(self, attribute, view)
@@ -477,6 +481,26 @@ class TransientBatchResult:
         power = self.total_power
         dt = np.diff(self.times)
         return np.sum(0.5 * (power[:, 1:] + power[:, :-1]) * dt, axis=1)
+
+    def series(self, settle_tolerance_kelvin: float = 0.5) -> Dict[str, np.ndarray]:
+        """The standard per-scenario series, one 1-D array each.
+
+        ``settle_tolerance_kelvin`` is the band of the ``settle_time``
+        series (see :meth:`settle_times`).  The one definition behind the
+        sweep reports (:func:`repro.analysis.sweep.transient_batch_series`),
+        the streamed online reduction (:mod:`repro.core.cosim.streaming`)
+        and reduced study results.
+        """
+        return {
+            "peak_temperature": self.peak_temperature,
+            "peak_rise": self.peak_rise,
+            "overshoot": self.overshoot,
+            "settle_time": self.settle_times(settle_tolerance_kelvin),
+            "total_energy": self.total_energy(),
+            "runaway": self.runaway,
+            "runaway_times": self.runaway_times,
+            "ambient_temperatures": self.ambient_temperatures,
+        }
 
     def temperatures_of(self, block_name: str) -> np.ndarray:
         """Temperature history [K] of one block, ``(scenarios, steps)``."""

@@ -9,6 +9,7 @@ source".
 
 from __future__ import annotations
 
+import math
 from collections import abc
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Mapping, Sequence, Union
@@ -50,6 +51,10 @@ class Block:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("block name must not be empty")
+        for key in ("x", "y", "width", "length", "total_device_width"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"block field {key!r} must be finite, got {value!r}")
         if self.width <= 0.0 or self.length <= 0.0:
             raise ValueError("block dimensions must be positive")
         if self.gate_count < 0:

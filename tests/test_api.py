@@ -914,6 +914,18 @@ class TestValidation:
             OptimizeSpec(constraints={"temperature_cap": value})
         with pytest.raises(ValueError, match="parameter_values must be finite"):
             _sweep_study().spec.replace(parameter_values=(1.0, 2.0, value))
+        for periods in (value, [1e-3, value]):
+            with pytest.raises(
+                ValueError, match=r"parameters\['periods'\] must be finite"
+            ):
+                WorkloadSpec(
+                    kind="pwm", parameters={"periods": periods, "duty_cycles": 0.5}
+                )
+        for column, key in enumerate(("x", "y", "width", "length"), start=1):
+            block = ["core", 4e-4, 4e-4, 4e-4, 4e-4]
+            block[column] = value
+            with pytest.raises(ValueError, match=f"field '{key}' must be finite"):
+                FloorplanSpec(blocks=(block,))
 
     def test_wrong_json_types_are_rejected_by_name(self):
         # Each once raised TypeError (a 500 from serve), failed without
@@ -1215,6 +1227,12 @@ GOLDEN_DIGESTS = {
     "study_steady_float32": (
         "0e109cbf431a3ace17c8b3772b70f5f7b9289a2bb50792e30339b62bd5c22fca"
     ),
+    # Streamed in chunks of 2 with online reduction: pins the reduced
+    # transient series values themselves (streamed and monolithic series
+    # share one definition, so their equality alone cannot).
+    "study_transient_reduced": (
+        "b8cecc3f2694a88af744a02cc7fab5f1812caa616dd6b2410f48a8d33910c941"
+    ),
 }
 
 #: SHA-256 of the elementwise math kernels those studies use, on fixed
@@ -1257,9 +1275,12 @@ def test_example_study_results_match_golden_digests(name):
     from pathlib import Path
 
     examples = Path(__file__).resolve().parents[1] / "examples"
-    study = Study.from_json(examples / f"{name.removesuffix('_float32')}.json")
+    stem = name.removesuffix("_float32").removesuffix("_reduced")
+    study = Study.from_json(examples / f"{stem}.json")
     if name.endswith("_float32"):
         study = study.with_precision("float32")
+    if name.endswith("_reduced"):
+        study = study.with_streaming(chunk_size=2, reduction=True)
     assert _result_digest(study.run()) == GOLDEN_DIGESTS[name]
 
 

@@ -1,5 +1,7 @@
 """Tests for repro.floorplan (blocks, floorplans, power maps)."""
 
+import math
+
 import pytest
 
 from repro.core.thermal.images import DieGeometry
@@ -58,6 +60,15 @@ class TestBlock:
             Block("a", x=0.0, y=0.0, width=0.0, length=1e-3)
         with pytest.raises(ValueError):
             Block("a", x=0.0, y=0.0, width=1e-3, length=1e-3, gate_count=-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_geometry_is_rejected_by_name(self, value):
+        geometry = dict(x=0.5e-3, y=0.5e-3, width=1e-4, length=1e-4)
+        for key in geometry:
+            with pytest.raises(ValueError, match=f"field '{key}' must be finite"):
+                Block("a", **{**geometry, key: value})
+            with pytest.raises(ValueError, match=f"field '{key}' must be finite"):
+                Block.from_mapping({"name": "a", **geometry, key: value})
 
     def test_transforms(self):
         block = Block("a", x=0.5e-3, y=0.5e-3, width=0.2e-3, length=0.1e-3)

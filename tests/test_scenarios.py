@@ -21,6 +21,7 @@ from repro.core.cosim import (
     Scenario,
     ScenarioEngine,
     scenario_grid,
+    scenario_grid_stream,
     unit_resistance_matrix,
 )
 from repro.core.cosim.resistance_cache import cache_size, clear_cache
@@ -76,6 +77,24 @@ class TestScenario:
             Scenario(technology, activity=-0.5)
         with pytest.raises(ValueError):
             Scenario(technology, activity={"core": -2.0})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_are_rejected_by_name(self, value):
+        technology = cmos_012um()
+        for field_name in ("supply_voltage", "ambient_temperature", "activity"):
+            with pytest.raises(ValueError, match=f"{field_name} must be finite"):
+                Scenario(technology, **{field_name: value})
+        with pytest.raises(ValueError, match=r"activity\['core'\] must be finite"):
+            Scenario(technology, activity={"core": value, "io": 1.0})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_grid_rejects_non_finite_axes_eagerly(self, value):
+        technologies = [cmos_012um()]
+        for axis in ("supply_scales", "ambient_temperatures"):
+            with pytest.raises(ValueError, match=f"{axis} must be finite"):
+                scenario_grid_stream(technologies, **{axis: (1.0, value)})
+        with pytest.raises(ValueError, match="activity must be finite"):
+            scenario_grid(technologies, activities=(value,))
 
     def test_describe_mentions_the_node(self):
         scenario = Scenario(cmos_012um(), ambient_temperature=318.15)

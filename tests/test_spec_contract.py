@@ -3,11 +3,12 @@
 Valid ``StudySpec`` dicts are generated from the spec layer's own kind
 table (:data:`repro.api.specs.KIND_FIELDS`), so every field a kind accepts
 gets exercised.  Each one must round-trip with stable canonical JSON.
-Then one field — top level, or one level down in a nested spec — is
-replaced with an adversarial value (NaN, +-inf, a wrong JSON type, a
-fractional integer).  Whatever happens must be either a valid spec with
-finite JSON, or a ``ValueError`` for which ``serve``'s ``error_body``
-names a field; never another exception.
+Then one field — top level, one level down in a nested spec, a key of
+the first floorplan block or a workload parameter — is replaced with an
+adversarial value (NaN, +-inf, a wrong JSON type, a fractional integer).
+Whatever happens must be either a valid spec with finite JSON, or a
+``ValueError`` for which ``serve``'s ``error_body`` names a field; never
+another exception.
 """
 
 import json
@@ -164,7 +165,8 @@ def study_dicts(draw):
 
 
 def _paths(data):
-    """Every top-level key, plus each key of a nested spec dict one level down."""
+    """Every top-level key, each key of a nested spec dict one level down,
+    and each key of the first block and of the workload parameters."""
     for key, value in data.items():
         yield (key,)
         if key == "scenarios":
@@ -177,6 +179,11 @@ def _paths(data):
             "optimize",
         ):
             yield from ((key, inner) for inner in value)
+    block = FLOORPLAN["blocks"][0]
+    yield from (("floorplan", "blocks", 0, inner) for inner in block)
+    if "workload" in data:
+        parameters = data["workload"]["parameters"]
+        yield from (("workload", "parameters", inner) for inner in parameters)
 
 
 def _corrupt(data, path, value):

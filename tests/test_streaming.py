@@ -183,6 +183,15 @@ class TestSteadyStreaming:
         with pytest.raises(ValueError):
             stream_steady(engine, grid, chunk_size=0)
 
+    def test_total_above_the_stream_length_is_rejected(self, engine, grid):
+        # Field arrays are sized by total; unfilled rows must never leak.
+        with pytest.raises(ValueError, match="total=10"):
+            stream_steady(engine, grid[:4], total=10, keep_fields=True)
+
+    def test_total_below_the_stream_length_is_rejected(self, engine, grid):
+        with pytest.raises(ValueError, match="total=3"):
+            stream_steady(engine, iter(grid[:4]), total=3, keep_fields=True)
+
 
 # --------------------------------------------------------------------- #
 # Core: chunked transient streams vs the monolithic batch
