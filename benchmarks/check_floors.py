@@ -4,9 +4,10 @@ Every throughput benchmark persists its measurements to a
 ``BENCH_*.json`` record containing the measured ``speedup`` and the
 committed floor ``required_speedup`` (the acceptance criterion of the PR
 that introduced it).  The CI ``benchmarks`` job regenerates the records in
-smoke mode and then runs this script, which exits non-zero if any tracked
-ratio fell below its floor — so a perf regression fails the pipeline even
-if the benchmark's own assertion was skipped or relaxed.  Records listed
+smoke mode (with ``REPRO_BENCH_WRITE=1``, so they land here rather than
+in a temporary directory) and then runs this script, which exits non-zero
+if any tracked ratio fell below its floor — so a perf regression fails the
+pipeline even if the benchmark's own assertion was skipped or relaxed.  Records listed
 in :data:`REQUIRED_RECORDS` must exist: a benchmark that silently stopped
 writing its record is itself a failure.
 

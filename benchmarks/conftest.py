@@ -9,11 +9,12 @@ pytest-benchmark.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import resource
 import sys
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 import numpy as np
 import pytest
@@ -38,15 +39,41 @@ def environment_record(
     }
 
 
+#: Environment switch: ``REPRO_BENCH_WRITE=1`` writes records over the
+#: committed ``benchmarks/BENCH_*.json`` (CI's benchmarks job sets it, so
+#: its floor check and artifact upload read fresh records).  Otherwise they
+#: go to a per-session temporary directory, so a test run leaves the
+#: working tree clean.
+WRITE_ENV = "REPRO_BENCH_WRITE"
+
+_record_dir: Optional[Path] = None
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_record_dir(tmp_path_factory):
+    global _record_dir
+    _record_dir = tmp_path_factory.mktemp("bench-records")
+    yield
+    _record_dir = None
+
+
 def persist_record(
     path: Path,
     record: Dict[str, Any],
     namespace: str = "numpy",
     dtype: str = "float64",
 ) -> None:
-    """Write a ``BENCH_*.json`` record stamped with its environment."""
+    """Write a ``BENCH_*.json`` record stamped with its environment.
+
+    It goes to ``path`` under ``REPRO_BENCH_WRITE=1``, else to a file of
+    the same name in the session's temporary directory.
+    """
     record = dict(record)
     record.setdefault("environment", environment_record(namespace, dtype))
+    if os.environ.get(WRITE_ENV) != "1":
+        if _record_dir is None:
+            raise RuntimeError(f"set {WRITE_ENV}=1 to write {path.name} outside pytest")
+        path = _record_dir / path.name
     path.write_text(json.dumps(record, indent=2) + "\n")
 
 

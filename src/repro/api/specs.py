@@ -285,6 +285,8 @@ def _block(value: Any, label: str) -> Block:
 
 
 _numbers = _mapping(_number)
+#: Per-block powers [W]: a block dissipates, it never absorbs.
+_powers = _mapping(_non_negative)
 
 
 def _nested(cls: type) -> _Check:
@@ -1172,8 +1174,8 @@ class StudySpec(_Spec):
     _CHECKS = {
         "kind": _choice(STUDY_KINDS, "study kind", "kinds"),
         "floorplan": _nested(FloorplanSpec),
-        "dynamic_powers": _numbers,
-        "static_powers": _numbers,
+        "dynamic_powers": _powers,
+        "static_powers": _powers,
         "scenarios": _sequence(_nested(ScenarioSpec), "scenario description"),
         "scenario_grid": _optional(_nested(ScenarioGridSpec)),
         "chunk_size": _optional(_integer(1)),
@@ -1184,7 +1186,7 @@ class StudySpec(_Spec):
         "time_step": _optional(_positive_number),
         "time_constants": _optional(_numbers),
         "technology": _optional(_nested(TechnologySpec)),
-        "block_powers": _numbers,
+        "block_powers": _powers,
         "ambient_temperature": _optional(_positive_number),
         "map_samples": _map_samples,
         "parameter_name": _text,

@@ -14,6 +14,18 @@ The arithmetic intentionally mirrors the scalar path operation-by-operation
 ``min``/clip combination) so the two agree to round-off; the parity suite
 in ``tests/test_thermal_kernel.py`` pins the agreement to <= 1e-10 K.  The
 scalar path stays in the tree as the readable reference implementation.
+
+Two layout choices make the numpy plan fast without changing a bit:
+
+* Points are evaluated in cache-sized blocks (:data:`_DEFAULT_CHUNK_ELEMENTS`)
+  so every in-place pass over a partition's temporary hits L2.
+* The bottom-image ladder under each surface image shares that image's
+  ``x``/``y``, so the buried population forms ``dx^2 + dy^2`` once per
+  lateral slot and gathers it back per column with ``np.take`` (which
+  keeps the C order the row sums fold in).
+
+Each element keeps its operation sequence and each row sum its column
+order, so :func:`temperature_rise` is identical for every block size.
 """
 
 from __future__ import annotations
@@ -32,9 +44,19 @@ from .sources import HeatSource
 _ACROSS_FLOOR = 1e-15
 
 #: Default cap on point x source elements evaluated per broadcast block.
-#: Bounds peak memory (a few 16 MiB float64 temporaries) while keeping each
-#: block large enough to amortise the NumPy dispatch overhead.
-_DEFAULT_CHUNK_ELEMENTS = 2**21
+#: Sized for cache, not just memory: a block's partition temporaries hold
+#: about 2^16 float64 values (512 KiB) together, which stays inside a
+#: 2 MiB L2, so each of the ten or so in-place passes over them reads from
+#: cache instead of streaming a multi-MiB array through memory.  Blocks of
+#: a few dozen points still amortise the NumPy dispatch overhead; results
+#: do not depend on the block size.
+_DEFAULT_CHUNK_ELEMENTS = 2**16
+
+#: Default block cap of :func:`pairwise_rise`.  Its grouped sums are one
+#: BLAS matmul per block, and a matmul folds each sum differently for
+#: different row counts, so this block size is part of the result (of every
+#: resistance matrix, among others) and stays where those were recorded.
+_PAIRWISE_CHUNK_ELEMENTS = 2**21
 
 
 @dataclass(frozen=True)
@@ -226,23 +248,39 @@ class _KernelPlan:
         self.buried_index = np.flatnonzero(~surface)
         if self.buried_index.size:
             sub = self.buried_index
-            self.bx = sources.x[sub]
-            self.by = sources.y[sub]
+            bx = sources.x[sub]
+            by = sources.y[sub]
+            # The bottom-image ladder under one surface image shares its
+            # x/y exactly, so consecutive buried columns at one position
+            # share a lateral slot: a new slot starts wherever the
+            # position changes.
+            starts = np.ones(sub.size, dtype=bool)
+            starts[1:] = (bx[1:] != bx[:-1]) | (by[1:] != by[:-1])
+            self.slot = np.cumsum(starts) - 1
+            self.sx = bx[starts]
+            self.sy = by[starts]
             self.bdepth_sq = sources.depth[sub] * sources.depth[sub]
             self.bpower = sources.power[sub]
             self.c2 = c2
 
     def _buried_rises(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """Point-source image rises, ``(n, buried)``; in-place throughout."""
-        dx = px[:, np.newaxis] - self.bx
-        dy = py[:, np.newaxis] - self.by
-        dx *= dx
+        """Point-source image rises, ``(n, buried)``; in-place throughout.
+
+        ``dx^2 + dy^2`` is formed once per lateral slot and gathered back
+        per column with ``np.take``, whose result is C-ordered like the
+        per-column broadcast it replaces (``lat[:, slot]`` is not, and its
+        row sums fold in a different order).
+        """
+        lat = px[:, np.newaxis] - self.sx
+        dy = py[:, np.newaxis] - self.sy
+        lat *= lat
         dy *= dy
-        dx += dy
-        dx += self.bdepth_sq
-        np.sqrt(dx, out=dx)
-        dx *= self.c2
-        return np.divide(self.bpower, dx, out=dx)
+        lat += dy
+        r = np.take(lat, self.slot, axis=1)
+        r += self.bdepth_sq
+        np.sqrt(r, out=r)
+        r *= self.c2
+        return np.divide(self.bpower, r, out=r)
 
     def _surface_rises(
         self,
@@ -408,8 +446,8 @@ def temperature_rise(
     conductivity:
         Substrate thermal conductivity [W/m/K].
     chunk_elements:
-        Cap on point x source pairs evaluated per broadcast block; bounds
-        peak memory without changing the result.
+        Cap on point x source pairs evaluated per broadcast block; the
+        default keeps each block in L2.  Never changes the result.
     """
     pts = as_points(points)
     array = _as_source_array(sources)
@@ -438,7 +476,7 @@ def pairwise_rise(
     conductivity: float,
     groups: Optional[np.ndarray] = None,
     group_count: Optional[int] = None,
-    chunk_elements: int = _DEFAULT_CHUNK_ELEMENTS,
+    chunk_elements: int = _PAIRWISE_CHUNK_ELEMENTS,
 ) -> np.ndarray:
     """Per-source temperature rises [K] at every point, shape ``(N, M)``.
 
@@ -449,7 +487,9 @@ def pairwise_rise(
     columns are summed per label and the result has shape
     ``(N, group_count)`` — exactly the block-to-block thermal-resistance
     matrix when the points are block centres and each group is one block's
-    unit-power image family.
+    unit-power image family.  Ungrouped results do not depend on
+    ``chunk_elements``; grouped sums do, in the last bits (see
+    :data:`_PAIRWISE_CHUNK_ELEMENTS`).
     """
     pts = as_points(points)
     array = _as_source_array(sources)

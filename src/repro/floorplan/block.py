@@ -55,8 +55,9 @@ class Block:
             value = getattr(self, key)
             if not math.isfinite(value):
                 raise ValueError(f"block field {key!r} must be finite, got {value!r}")
-        if self.width <= 0.0 or self.length <= 0.0:
-            raise ValueError("block dimensions must be positive")
+        for key in ("width", "length"):
+            if getattr(self, key) <= 0.0:
+                raise ValueError(f"block field {key!r} must be positive")
         if self.gate_count < 0:
             raise ValueError("gate_count must be non-negative")
         if self.total_device_width < 0.0:

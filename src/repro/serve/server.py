@@ -54,6 +54,47 @@ _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NAMED_KEY = re.compile(r"(?:field|option|key)\(?s?\)?\s+'([A-Za-z_][A-Za-z0-9_]*)'")
 
 
+class _NonFinite:
+    """What ``json.loads`` leaves where a ``NaN``/``Infinity`` token stood."""
+
+    def __init__(self, token: str) -> None:
+        self.token = token
+
+
+def _non_finite_path(value: Any, path: Tuple = ()) -> Optional[Tuple[Tuple, str]]:
+    """Key path to, and token of, the first :class:`_NonFinite` in ``value``."""
+    if isinstance(value, _NonFinite):
+        return path, value.token
+    if isinstance(value, dict):
+        entries = value.items()
+    elif isinstance(value, list):
+        entries = enumerate(value)
+    else:
+        return None
+    for key, entry in entries:
+        found = _non_finite_path(entry, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
+def _reject_non_finite(data: Any) -> None:
+    """Raise a ValueError naming the field of a ``NaN``/``Infinity`` token.
+
+    Those tokens are not JSON, and a non-finite number must never reach a
+    solve (or the result cache) under a valid content hash.  The error
+    names the innermost key holding the token, the client's own input key
+    (``tolerance`` for ``solver.tolerance``), and spells out its path.
+    """
+    path, token = _non_finite_path(data)
+    name = next((key for key in reversed(path) if isinstance(key, str)), "body")
+    where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+    raise ValueError(
+        f"request body is not valid JSON: field '{name}' ({where.lstrip('.') or name}) "
+        f"holds the non-finite number {token}"
+    )
+
+
 def error_body(message: str) -> Dict[str, Any]:
     """A structured error payload, naming the offending field if found.
 
@@ -106,10 +147,18 @@ class StudyRequestHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("request body is empty; expected a JSON StudySpec")
+        tokens: list = []
+
+        def non_finite(token: str) -> _NonFinite:
+            tokens.append(token)
+            return _NonFinite(token)
+
         try:
-            data = json.loads(raw.decode("utf-8"))
+            data = json.loads(raw.decode("utf-8"), parse_constant=non_finite)
         except json.JSONDecodeError as error:
             raise ValueError(f"request body is not valid JSON: {error}") from None
+        if tokens:
+            _reject_non_finite(data)
         if not isinstance(data, dict):
             raise ValueError("request body must be a JSON object (a StudySpec)")
         return data

@@ -378,6 +378,25 @@ class TestHTTPServer:
         response.read()
         conn.close()
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_tokens_are_400(self, http_service, token):
+        host, port, _ = http_service
+        from http.client import HTTPConnection
+
+        # Rejected by the JSON parser itself, before any spec parsing.
+        text = json.dumps(steady_spec().to_dict())
+        text = text.replace('"chip": 0.25', f'"chip": {token}')
+        assert token in text
+        conn = HTTPConnection(host, port, timeout=30.0)
+        conn.request("POST", "/run", body=text.encode(), headers={})
+        response = conn.getresponse()
+        body = json.loads(response.read())
+        conn.close()
+        assert response.status == 400
+        assert body["error"]["field"] == "chip"
+        message = body["error"]["message"]
+        assert f"(dynamic_powers.chip) holds the non-finite number {token}" in message
+
     def test_shutdown_drains_in_flight_requests(self):
         server = make_server("127.0.0.1", 0, window=0.5)
         host, port = server.server_address[:2]

@@ -5,7 +5,8 @@ table (:data:`repro.api.specs.KIND_FIELDS`), so every field a kind accepts
 gets exercised.  Each one must round-trip with stable canonical JSON.
 Then one field — top level, one level down in a nested spec, a key of
 the first floorplan block or a workload parameter — is replaced with an
-adversarial value (NaN, +-inf, a wrong JSON type, a fractional integer).
+adversarial value (NaN, +-inf, a negative number, a wrong JSON type, a
+fractional integer).
 Whatever happens must be either a valid spec with finite JSON, or a
 ``ValueError`` for which ``serve``'s ``error_body`` names a field; never
 another exception.
@@ -14,6 +15,7 @@ another exception.
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,6 +129,8 @@ ADVERSARIAL = (
     [math.nan],
     [1],
     {"core": math.nan},
+    -5.0,
+    {"core": -5.0},
 )
 
 
@@ -216,3 +220,21 @@ def test_generated_specs_round_trip_and_corruptions_name_a_field(data, choice):
         assert "field" in body["error"], (path, value, str(error))
     else:
         _assert_valid(spec)
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        ("steady", "dynamic_powers"),
+        ("steady", "static_powers"),
+        ("thermal_map", "block_powers"),
+    ],
+)
+def test_negative_power_is_rejected_naming_the_field(kind, name):
+    data = {"kind": kind, "floorplan": FLOORPLAN, name: {"core": 0.2, "io": -5.0}}
+    if kind == "steady":
+        data["scenarios"] = [{"technology": {"node": "0.12um"}}]
+    with pytest.raises(ValueError, match="non-negative") as excinfo:
+        StudySpec.from_dict(data)
+    assert error_body(str(excinfo.value))["error"]["field"] == name
+    assert f"{name}['io']" in str(excinfo.value)

@@ -162,6 +162,105 @@ class TestScalarParity:
                 assert matrix[i, j] == pytest.approx(scalar, abs=PARITY)
 
 
+def _shared_x_case():
+    """Three blocks at one x: without rings, "a"'s buried columns are
+    followed by "b"'s at the same ``x`` but another ``y`` (two slots), and
+    "c" sits exactly on "b" (one slot for both)."""
+    die = DieGeometry(width=1e-3, length=1.2e-3, thickness=0.3e-3)
+    sources = [
+        HeatSource(0.4e-3, 0.3e-3, 0.2e-3, 0.1e-3, 0.3, name="a"),
+        HeatSource(0.4e-3, 0.8e-3, 0.1e-3, 0.2e-3, 0.2, name="b"),
+        HeatSource(0.4e-3, 0.8e-3, 0.05e-3, 0.05e-3, 0.1, name="c"),
+    ]
+    return die, sources
+
+
+def _blocking_cases():
+    """(expansion, sources, points) over rings, bottom images and a
+    shared-position floorplan."""
+    rng = np.random.default_rng(19)
+    die, sources = random_case(rng)
+    points = random_points(rng, die, count=53)
+    for rings in (0, 1, 2):
+        yield ImageExpansion(die, rings=rings), sources, points
+    yield ImageExpansion(die, rings=2, include_bottom_images=False), sources, points
+    shared_die, shared = _shared_x_case()
+    shared_points = random_points(rng, shared_die, count=41)
+    for rings in (0, 1):
+        yield ImageExpansion(shared_die, rings=rings), shared, shared_points
+
+
+BLOCKINGS = (2**21, 16)
+
+
+class TestBlockingIsBitIdentical:
+    """Block size and the shared bottom-image ladder never move a bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_temperature_rise(self, dtype):
+        for expansion, sources, points in _blocking_cases():
+            array = expansion.expand_arrays(sources)[0].cast(np, dtype)
+            points = points.astype(dtype)
+            default = temperature_rise(points, array, K_SI)
+            assert default.dtype == dtype
+            for chunk_elements in BLOCKINGS:
+                blocked = temperature_rise(
+                    points, array, K_SI, chunk_elements=chunk_elements
+                )
+                assert np.array_equal(default, blocked)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pairwise_rise(self, dtype):
+        for expansion, sources, points in _blocking_cases():
+            array, groups = expansion.expand_arrays(sources)
+            array = array.cast(np, dtype)
+            points = points.astype(dtype)
+            default = pairwise_rise(points, array, K_SI)
+            for chunk_elements in (2**16,) + BLOCKINGS:
+                blocked = pairwise_rise(
+                    points, array, K_SI, chunk_elements=chunk_elements
+                )
+                assert np.array_equal(default, blocked)
+            # Grouped sums are a matmul per block, whose fold depends on
+            # its row count: the default keeps the recorded block size.
+            grouping = {"groups": groups, "group_count": len(sources)}
+            assert np.array_equal(
+                pairwise_rise(points, array, K_SI, **grouping),
+                pairwise_rise(points, array, K_SI, chunk_elements=2**21, **grouping),
+            )
+
+    def test_buried_columns_match_the_per_column_formula(self):
+        # The ladder shares dx^2 + dy^2 across a slot; each column must
+        # still equal the per-column chain it replaced, bit for bit.
+        for expansion, sources, points in _blocking_cases():
+            array = expansion.expand_arrays(sources)[0]
+            buried = np.flatnonzero(array.depth != 0.0)
+            if not buried.size:
+                continue
+            dx = points[:, 0:1] - array.x[buried]
+            dy = points[:, 1:2] - array.y[buried]
+            r_sq = (dx * dx + dy * dy) + array.depth[buried] * array.depth[buried]
+            expected = array.power[buried] / (np.sqrt(r_sq) * (2.0 * np.pi * K_SI))
+            matrix = pairwise_rise(points, array, K_SI)
+            assert np.array_equal(matrix[:, buried], expected)
+
+    def test_ladder_shares_one_slot_per_surface_image(self):
+        from repro.core.thermal.kernel import _KernelPlan
+
+        die, sources = _shared_x_case()
+        for rings, merged in ((0, 1), (1, 0)):
+            expansion = ImageExpansion(die, rings=rings, bottom_image_terms=3)
+            array, _ = expansion.expand_arrays(sources)
+            plan = _KernelPlan(array, K_SI)
+            surface = int((array.depth == 0.0).sum())
+            # One slot per surface image, less one where "b"'s last image
+            # sits exactly on "c"'s first (only without rings).
+            assert plan.sx.size == surface - merged
+            assert plan.slot.size == 3 * surface
+            assert np.array_equal(plan.sx[plan.slot], array.x[plan.buried_index])
+            assert np.array_equal(plan.sy[plan.slot], array.y[plan.buried_index])
+
+
 class TestSuperpositionProperty:
     def test_linearity_in_source_powers(self):
         """Eq. 21 linearity: T(a*P1 + b*P2) == a*T(P1) + b*T(P2)."""
