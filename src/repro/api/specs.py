@@ -284,7 +284,6 @@ def _block(value: Any, label: str) -> Block:
         raise SpecTypeError(f"{label}: {error}") from None
 
 
-_numbers = _mapping(_number)
 #: Per-block powers [W]: a block dissipates, it never absorbs.
 _powers = _mapping(_non_negative)
 
@@ -1184,7 +1183,7 @@ class StudySpec(_Spec):
         "workload": _optional(_nested(WorkloadSpec)),
         "duration": _optional(_positive_number),
         "time_step": _optional(_positive_number),
-        "time_constants": _optional(_numbers),
+        "time_constants": _optional(_mapping(_positive_number)),
         "technology": _optional(_nested(TechnologySpec)),
         "block_powers": _powers,
         "ambient_temperature": _optional(_positive_number),

@@ -13,8 +13,12 @@ same code then runs on
 * **array_api_strict** — the reference implementation of the standard,
   used by CI to prove no NumPy-only idiom leaks through the seam.
 
-Each loop has one functional implementation that every namespace runs, so
-the two registry entries differ only in the arrays they compute on.
+Each loop has one implementation that every namespace runs, so the two
+registry entries differ only in the arrays they compute on.  That holds
+for the thermal kernel's partitioned plan too: numpy evaluates its
+elementwise chain in place through ``out=``, which the Array API lacks,
+and every other namespace allocates, with the same operations in the
+same order.
 
 Precision is the second half of the policy: a :class:`Precision` names
 the working dtype (``float64`` or ``float32``) together with the

@@ -15,6 +15,7 @@ are provided:
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
@@ -27,6 +28,18 @@ from ..leakage import kernel as leakage_kernel
 from ..dynamic.switching import SwitchingActivity
 from ..dynamic.total import PowerBreakdown, TotalPowerModel
 from ..leakage.subthreshold import single_device_off_current
+
+
+def require_finite(**options: Optional[float]) -> None:
+    """Reject NaN and infinite option values with an error naming the option.
+
+    Such values slip through plain ``<= 0.0`` range checks: a NaN
+    tolerance never reports a settled row, and a NaN ceiling poisons every
+    temperature.  ``None`` (an unset optional) passes.
+    """
+    for name, value in options.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class BlockPowerModel(ABC):
@@ -137,9 +150,12 @@ class ScaledLeakageBlockModel(BlockPowerModel):
     device_type: str = "nmos"
 
     def __post_init__(self) -> None:
-        if self.dynamic_power < 0.0:
+        dynamic, static = self.dynamic_power, self.static_power_at_reference
+        if not 0.0 <= dynamic < math.inf:
+            require_finite(dynamic_power=dynamic)
             raise ValueError("dynamic_power must be non-negative")
-        if self.static_power_at_reference < 0.0:
+        if not 0.0 <= static < math.inf:
+            require_finite(static_power_at_reference=static)
             raise ValueError("static_power_at_reference must be non-negative")
 
     @property

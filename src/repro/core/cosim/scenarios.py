@@ -65,7 +65,7 @@ from ..backend import (
 from ..dynamic.total import PowerBreakdown
 from ..leakage import kernel as leakage_kernel
 from ..thermal.operator import ThermalOperator
-from .coupling import BlockPowerModel, ScaledLeakageBlockModel
+from .coupling import BlockPowerModel, ScaledLeakageBlockModel, require_finite
 from .engine import ElectroThermalEngine, _image_configuration, resolve_operator
 from .resistance_cache import reduced_unit_matrix
 from .result import CosimResult
@@ -618,18 +618,6 @@ class ScenarioBatchResult:
             )
             for index, scenario in enumerate(self.scenarios)
         ]
-
-
-def require_finite(**options: Optional[float]) -> None:
-    """Reject NaN and infinite option values with an error naming the option.
-
-    Such values slip through plain ``<= 0.0`` range checks: a NaN
-    tolerance never reports a settled row, and a NaN ceiling poisons every
-    temperature.  ``None`` (an unset optional) passes.
-    """
-    for name, value in options.items():
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def validate_fixed_point_options(

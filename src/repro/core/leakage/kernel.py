@@ -120,20 +120,12 @@ class DeviceArray:
         )
 
     def take(self, indices) -> "DeviceArray":
-        """Index every field along axis 0 (e.g. expand per-scenario rows)."""
+        """Index every field along axis 0 (e.g. expand per-scenario rows).
+
+        Integer-array indexing is optional in the Array API standard;
+        ``take`` is the portable spelling of the same (exact) gather.
+        """
         xp = get_namespace(self.i0)
-        if xp is np:
-            return DeviceArray(
-                i0=self.i0[indices],
-                n=self.n[indices],
-                vt0=self.vt0[indices],
-                body_effect=self.body_effect[indices],
-                dibl=self.dibl[indices],
-                kt=self.kt[indices],
-                channel_length=self.channel_length[indices],
-            )
-        # Integer-array indexing is optional in the Array API standard;
-        # ``take`` is the portable spelling of the same gather.
         indices = xp.asarray(indices)
         return DeviceArray(
             i0=xp.take(self.i0, indices, axis=0),

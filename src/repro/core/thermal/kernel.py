@@ -7,7 +7,7 @@ This module packs a set of :class:`~repro.core.thermal.sources.HeatSource`
 objects into a :class:`SourceArray` (contiguous ``ndarray`` per field) and
 evaluates the complete Eq. 20/21 recipe — centre cap (Eq. 18), line-source
 far field (Eq. 19), buried point-source images and superposition (Eq. 21) —
-for every point x source pair in a handful of NumPy broadcasts.
+for every point x source pair in a handful of array broadcasts.
 
 The arithmetic intentionally mirrors the scalar path operation-by-operation
 (same association order, same ``1e-15`` across-axis floor, same
@@ -15,14 +15,19 @@ The arithmetic intentionally mirrors the scalar path operation-by-operation
 in ``tests/test_thermal_kernel.py`` pins the agreement to <= 1e-10 K.  The
 scalar path stays in the tree as the readable reference implementation.
 
-Two layout choices make the numpy plan fast without changing a bit:
+One plan (:class:`_KernelPlan`) serves every Array-API namespace.  It
+splits the sources into wide, tall and buried populations, so each lane
+runs only the formula branch the scalar path takes, and it writes its
+elementwise functions in place on numpy only (:class:`_Elementwise`);
+numpy and ``array_api_strict`` agree bit for bit.  Two layout choices
+make the plan fast without changing a bit:
 
 * Points are evaluated in cache-sized blocks (:data:`_DEFAULT_CHUNK_ELEMENTS`)
   so every in-place pass over a partition's temporary hits L2.
 * The bottom-image ladder under each surface image shares that image's
   ``x``/``y``, so the buried population forms ``dx^2 + dy^2`` once per
-  lateral slot and gathers it back per column with ``np.take`` (which
-  keeps the C order the row sums fold in).
+  lateral slot and gathers it back per column with ``take`` (which keeps
+  the C order the row sums fold in).
 
 Each element keeps its operation sequence and each row sum its column
 order, so :func:`temperature_rise` is identical for every block size.
@@ -160,57 +165,87 @@ def _as_source_array(sources: SourceSetLike) -> SourceArray:
     return SourceArray.from_sources(sources)
 
 
+def _ignoring_out(function):
+    return lambda *args, out=None: function(*args)
+
+
+class _Elementwise:
+    """The plan's elementwise functions of namespace ``xp``, resolved once.
+
+    Each takes numpy's ``out=``.  numpy ufuncs write into it, so a
+    partition's temporaries are reused while they sit in L2 (an allocating
+    chain ran 1.59x slower); the Array API has no ``out=``, so other
+    namespaces return a new array and ignore it.  numpy < 2 spells
+    ``asinh`` as ``arcsinh``.
+    """
+
+    def __init__(self, xp) -> None:
+        for name in ("abs", "asinh", "clip", "divide", "minimum", "sqrt"):
+            if xp is np:
+                setattr(self, name, getattr(np, "arcsinh" if name == "asinh" else name))
+            else:
+                setattr(self, name, _ignoring_out(getattr(xp, name)))
+
+
 class _SurfacePartition:
     """Constants for surface sources whose line source runs along one axis.
 
     Splitting wide (line along x) and tall (line along y) sources into two
-    partitions removes every per-element ``np.where`` from the hot loop:
-    each partition evaluates one straight-line formula with in-place ufuncs.
+    partitions removes every per-element ``where`` from the hot loop: each
+    partition evaluates one straight-line formula.
     """
 
     def __init__(
-        self, sources: SourceArray, index: np.ndarray, c1: float, c2: float
+        self,
+        sources: SourceArray,
+        index: np.ndarray,
+        along_x: bool,
+        c1: float,
+        c2: float,
+        fn: _Elementwise,
     ) -> None:
         self.index = index
-        width = sources.width[index]
-        length = sources.length[index]
-        power = sources.power[index]
-        self.x = sources.x[index]
-        self.y = sources.y[index]
-        self.sign = np.sign(power)
-        magnitude = np.abs(power)
+        self.along_x = along_x
+        self.fn = fn
+        xp = get_namespace(sources.x)
+        columns = xp.asarray(index)
+        width = xp.take(sources.width, columns)
+        length = xp.take(sources.length, columns)
+        power = xp.take(sources.power, columns)
+        self.x = xp.take(sources.x, columns)
+        self.y = xp.take(sources.y, columns)
+        self.sign = xp.sign(power)
+        magnitude = xp.abs(power)
         # Eq. 18 centre cap.
-        term = width * np.arcsinh(length / width) + length * np.arcsinh(
-            width / length
-        )
+        term = width * fn.asinh(length / width) + length * fn.asinh(width / length)
         self.center = magnitude / (c1 * width * length) * term
         # Eq. 19 line source along the longer footprint dimension.
-        extent = np.maximum(width, length)
+        extent = xp.maximum(width, length)
         self.half = 0.5 * extent
         self.far_coefficient = magnitude / (c2 * extent)
 
-    def rises(self, along_delta: np.ndarray, across_delta: np.ndarray) -> np.ndarray:
-        """Eq. 20 rises given point-source deltas along/across the line.
-
-        Both inputs are freshly allocated ``(n, m)`` arrays and are consumed
-        as scratch space.
-        """
-        across = np.abs(across_delta, out=across_delta)
-        np.maximum(across, _ACROSS_FLOOR, out=across)
-        upper = along_delta + self.half
+    def rises(self, px, py):
+        """Eq. 20 rises of this partition's sources, ``(len(px), sources)``."""
+        fn = self.fn
+        dx = px[:, None] - self.x
+        dy = py[:, None] - self.y
+        along, across = (dx, dy) if self.along_x else (dy, dx)
+        across = fn.abs(across, out=across)
+        across = fn.clip(across, _ACROSS_FLOOR, None, out=across)
+        upper = along + self.half
         upper /= across
-        np.arcsinh(upper, out=upper)
-        lower = along_delta
+        upper = fn.asinh(upper, out=upper)
+        lower = along
         lower -= self.half
         lower /= across
-        np.arcsinh(lower, out=lower)
+        lower = fn.asinh(lower, out=lower)
         far = upper
         far -= lower
         far *= self.far_coefficient
         # Underflow of the far field extremely far out clips to zero, then
         # Eq. 20 takes the smaller magnitude and restores the sign.
-        np.maximum(far, 0.0, out=far)
-        np.minimum(far, self.center, out=far)
+        far = fn.clip(far, 0.0, None, out=far)
+        far = fn.minimum(far, self.center, out=far)
         far *= self.sign
         return far
 
@@ -223,11 +258,16 @@ class _KernelPlan:
     line runs along y, and buried point-source images — so every broadcast
     block runs exactly the formula branch the scalar
     ``rectangle_temperature`` would take, with no per-element branching.
+    The populations are told apart on the host; their arithmetic runs in
+    the sources' namespace, in place on numpy (:class:`_Elementwise`).
     """
 
     def __init__(self, sources: SourceArray, conductivity: float) -> None:
         if conductivity <= 0.0:
             raise ValueError("conductivity must be positive")
+        xp = get_namespace(sources.x)
+        self.xp = xp
+        self.fn = _Elementwise(xp)
         self.count = len(sources)
         self.dtype = sources.x.dtype
         # Match the scalar association order: pi*k and 2.0*pi*k are the
@@ -235,12 +275,12 @@ class _KernelPlan:
         c1 = math.pi * conductivity
         c2 = 2.0 * math.pi * conductivity
 
-        surface = sources.depth == 0.0
-        wide = surface & (sources.width >= sources.length)
+        surface = to_numpy(sources.depth) == 0.0
+        wide = surface & (to_numpy(sources.width) >= to_numpy(sources.length))
         tall = surface & ~wide
-        # (partition, line-along-x) pairs; empty populations are dropped.
+        # Surface partitions, wide then tall; empty ones are dropped.
         self.partitions = [
-            (_SurfacePartition(sources, np.flatnonzero(mask), c1, c2), along_x)
+            _SurfacePartition(sources, np.flatnonzero(mask), along_x, c1, c2, self.fn)
             for mask, along_x in ((wide, True), (tall, False))
             if mask.any()
         ]
@@ -248,171 +288,78 @@ class _KernelPlan:
         self.buried_index = np.flatnonzero(~surface)
         if self.buried_index.size:
             sub = self.buried_index
-            bx = sources.x[sub]
-            by = sources.y[sub]
+            bx = to_numpy(sources.x)[sub]
+            by = to_numpy(sources.y)[sub]
             # The bottom-image ladder under one surface image shares its
             # x/y exactly, so consecutive buried columns at one position
             # share a lateral slot: a new slot starts wherever the
             # position changes.
             starts = np.ones(sub.size, dtype=bool)
             starts[1:] = (bx[1:] != bx[:-1]) | (by[1:] != by[:-1])
-            self.slot = np.cumsum(starts) - 1
-            self.sx = bx[starts]
-            self.sy = by[starts]
-            self.bdepth_sq = sources.depth[sub] * sources.depth[sub]
-            self.bpower = sources.power[sub]
+            self.slot = xp.asarray(np.cumsum(starts) - 1)
+            self.sx = xp.asarray(bx[starts])
+            self.sy = xp.asarray(by[starts])
+            columns = xp.asarray(sub)
+            depth = xp.take(sources.depth, columns)
+            self.bdepth_sq = depth * depth
+            self.bpower = xp.take(sources.power, columns)
             self.c2 = c2
 
-    def _buried_rises(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """Point-source image rises, ``(n, buried)``; in-place throughout.
+        # :meth:`block` writes the populations side by side (wide, tall,
+        # buried) and gathers the columns back into source order through
+        # the inverse permutation: the Array API has no integer-array
+        # ``__setitem__`` to scatter with.
+        order = np.concatenate([p.index for p in self.partitions] + [self.buried_index])
+        self.inverse = xp.asarray(np.argsort(order))
+
+    def _buried_rises(self, px, py):
+        """Point-source image rises, ``(len(px), buried)``.
 
         ``dx^2 + dy^2`` is formed once per lateral slot and gathered back
-        per column with ``np.take``, whose result is C-ordered like the
+        per column with ``take``, whose result is C-ordered like the
         per-column broadcast it replaces (``lat[:, slot]`` is not, and its
         row sums fold in a different order).
         """
-        lat = px[:, np.newaxis] - self.sx
-        dy = py[:, np.newaxis] - self.sy
+        fn = self.fn
+        lat = px[:, None] - self.sx
+        dy = py[:, None] - self.sy
         lat *= lat
         dy *= dy
         lat += dy
-        r = np.take(lat, self.slot, axis=1)
+        r = self.xp.take(lat, self.slot, axis=1)
         r += self.bdepth_sq
-        np.sqrt(r, out=r)
+        r = fn.sqrt(r, out=r)
         r *= self.c2
-        return np.divide(self.bpower, r, out=r)
-
-    def _surface_rises(
-        self,
-        partition: _SurfacePartition,
-        along_x: bool,
-        px: np.ndarray,
-        py: np.ndarray,
-    ) -> np.ndarray:
-        dx = px[:, np.newaxis] - partition.x
-        dy = py[:, np.newaxis] - partition.y
-        if along_x:
-            return partition.rises(dx, dy)
-        return partition.rises(dy, dx)
-
-    def block(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """Per-pair temperature rises, shape ``(len(px), count)``."""
-        out = np.zeros((px.size, self.count), dtype=np.result_type(px, self.dtype))
-        for partition, along_x in self.partitions:
-            out[:, partition.index] = self._surface_rises(partition, along_x, px, py)
-        if self.buried_index.size:
-            out[:, self.buried_index] = self._buried_rises(px, py)
-        return out
-
-    def row_sums(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """Eq. 21 superposed rises, shape ``(len(px),)``.
-
-        Sums each partition's contributions directly instead of scattering
-        into the full ``(n, count)`` matrix — the hot path for maps.
-        """
-        total = np.zeros(px.size, dtype=np.result_type(px, self.dtype))
-        for partition, along_x in self.partitions:
-            total += self._surface_rises(partition, along_x, px, py).sum(axis=1)
-        if self.buried_index.size:
-            total += self._buried_rises(px, py).sum(axis=1)
-        return total
-
-
-class _GenericPlan:
-    """Namespace-generic Eq. 20 evaluation: no partitions, no in-place ops.
-
-    The Array-API counterpart of :class:`_KernelPlan` for namespaces
-    without numpy's ``out=`` ufunc protocol (``array_api_strict``, CuPy,
-    JAX): every (point, source) lane evaluates all three formula branches
-    functionally — in the exact per-element operation order of the
-    partitioned in-place chains — and a ``where`` select keeps the branch
-    the scalar reference would take, so float64 results agree bit-for-bit
-    with the numpy plan.
-    """
-
-    def __init__(self, sources: SourceArray, conductivity: float, xp) -> None:
-        if conductivity <= 0.0:
-            raise ValueError("conductivity must be positive")
-        self.xp = xp
-        self.count = len(sources)
-        self.dtype = sources.x.dtype
-        c1 = math.pi * conductivity
-        c2 = 2.0 * math.pi * conductivity
-        self.c2 = c2
-        width = sources.width
-        length = sources.length
-        power = sources.power
-        self.x = sources.x
-        self.y = sources.y
-        self.surface = sources.depth == 0.0
-        self.wide = xp.logical_and(self.surface, width >= length)
-        self.sign = xp.sign(power)
-        magnitude = xp.abs(power)
-        # Eq. 18 centre cap (well-defined for every lane: extents are
-        # positive whether the source is surface or buried).
-        term = width * xp.asinh(length / width) + length * xp.asinh(width / length)
-        self.center = magnitude / (c1 * width * length) * term
-        # Eq. 19 line source along the longer footprint dimension.
-        extent = xp.maximum(width, length)
-        self.half = 0.5 * extent
-        self.far_coefficient = magnitude / (c2 * extent)
-        self.depth_sq = sources.depth * sources.depth
-        self.power = power
-        # Regulariser keeping the buried denominator finite on surface
-        # lanes (adds exactly 0.0 on buried lanes, whose values survive).
-        self.surface_bump = xp.astype(self.surface, self.dtype)
-        # Scalar operands of the two-array elementwise functions, packed
-        # as 0-d arrays (scalar arguments there are a recent spec addition
-        # not every namespace implements yet).
-        self.across_floor = xp.asarray(_ACROSS_FLOOR, dtype=self.dtype)
-        self.zero = xp.asarray(0.0, dtype=self.dtype)
-        # Row sums must accumulate in the numpy plan's partition order
-        # (wide, tall, buried) — summing all columns at once folds the
-        # reduction differently and drifts by 1 ulp.  Masks are staged on
-        # the host; the column indices live in the working namespace.
-        depth_host = to_numpy(sources.depth)
-        surface_host = depth_host == 0.0
-        wide_host = surface_host & (to_numpy(width) >= to_numpy(length))
-        tall_host = surface_host & ~wide_host
-        self.column_groups = [
-            xp.asarray(np.flatnonzero(mask))
-            for mask in (wide_host, tall_host, ~surface_host)
-            if mask.any()
-        ]
+        return fn.divide(self.bpower, r, out=r)
 
     def block(self, px, py):
         """Per-pair temperature rises, shape ``(len(px), count)``."""
         xp = self.xp
-        dx = px[:, None] - self.x
-        dy = py[:, None] - self.y
-        # Surface branch: point-source deltas along/across the Eq. 19 line.
-        along = xp.where(self.wide, dx, dy)
-        across = xp.abs(xp.where(self.wide, dy, dx))
-        across = xp.maximum(across, self.across_floor)
-        upper = xp.asinh((along + self.half) / across)
-        lower = xp.asinh((along - self.half) / across)
-        far = (upper - lower) * self.far_coefficient
-        far = xp.maximum(far, self.zero)
-        far = xp.minimum(far, self.center)
-        far = far * self.sign
-        # Buried branch: point-source image distance (same association
-        # order as the in-place chain: (dx^2 + dy^2) + depth^2).
-        r_sq = (dx * dx + dy * dy) + self.depth_sq + self.surface_bump
-        buried = self.power / (xp.sqrt(r_sq) * self.c2)
-        return xp.where(self.surface, far, buried)
+        dtype = xp.result_type(px, self.dtype)
+        joined = xp.empty((px.shape[0], self.count), dtype=dtype)
+        start = 0
+        for partition in self.partitions:
+            stop = start + partition.index.size
+            joined[:, start:stop] = partition.rises(px, py)
+            start = stop
+        if self.buried_index.size:
+            joined[:, start:] = self._buried_rises(px, py)
+        return xp.take(joined, self.inverse, axis=1)
 
     def row_sums(self, px, py):
         """Eq. 21 superposed rises, shape ``(len(px),)``.
 
-        Accumulated one column group at a time in the numpy plan's
-        partition order so the reduction folds identically.
+        Sums each population's contributions directly instead of building
+        the full ``(n, count)`` block — the hot path for maps.  Starting
+        from zeros and adding in population order fixes the fold (and the
+        sign of a zero sum).
         """
         xp = self.xp
-        block = self.block(px, py)
-        total = None
-        for columns in self.column_groups:
-            group = xp.sum(xp.take(block, columns, axis=1), axis=1)
-            total = group if total is None else total + group
+        total = xp.zeros(px.shape[0], dtype=xp.result_type(px, self.dtype))
+        for partition in self.partitions:
+            total += xp.sum(partition.rises(px, py), axis=1)
+        if self.buried_index.size:
+            total += xp.sum(self._buried_rises(px, py), axis=1)
         return total
 
 
@@ -454,20 +401,14 @@ def temperature_rise(
     if len(array) == 0:
         raise ValueError("at least one source is required")
     xp = get_namespace(pts, array.x)
+    plan = _KernelPlan(array, conductivity)
+    count = pts.shape[0]
+    out = xp.empty(count, dtype=xp.result_type(pts, array.x))
     step = _chunk_size(len(array), chunk_elements)
-    if xp is np:
-        plan = _KernelPlan(array, conductivity)
-        out = np.empty(pts.shape[0], dtype=np.result_type(pts, array.x))
-        for start in range(0, pts.shape[0], step):
-            stop = start + step
-            out[start:stop] = plan.row_sums(pts[start:stop, 0], pts[start:stop, 1])
-        return out
-    generic = _GenericPlan(array, conductivity, xp)
-    chunks = [
-        generic.row_sums(pts[start : start + step, 0], pts[start : start + step, 1])
-        for start in range(0, pts.shape[0], step)
-    ]
-    return chunks[0] if len(chunks) == 1 else xp.concat(chunks)
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        out[start:stop] = plan.row_sums(pts[start:stop, 0], pts[start:stop, 1])
+    return out
 
 
 def pairwise_rise(
@@ -496,40 +437,29 @@ def pairwise_rise(
     if len(array) == 0:
         raise ValueError("at least one source is required")
     xp = get_namespace(pts, array.x)
-    dtype = np.result_type(pts, array.x) if xp is np else np.float64
+    dtype = xp.result_type(pts, array.x)
     if groups is not None:
         groups = np.asarray(groups)
         if groups.shape != (len(array),):
             raise ValueError("groups must provide one label per source")
         columns = int(group_count) if group_count is not None else int(groups.max()) + 1
-        # The 0/1 scatter is staged on the host; non-numpy namespaces get
-        # a converted copy (the gather itself stays a matmul everywhere).
-        indicator_host = np.zeros((len(array), columns), dtype=dtype)
-        indicator_host[np.arange(len(array)), groups] = 1.0
-        indicator = (
-            indicator_host
-            if xp is np
-            else xp.asarray(indicator_host, dtype=array.x.dtype)
-        )
+        # The 0/1 scatter is staged on the host; the gather itself is a
+        # matmul in the working namespace.
+        indicator = np.zeros((len(array), columns))
+        indicator[np.arange(len(array)), groups] = 1.0
+        indicator = xp.asarray(indicator, dtype=dtype)
     else:
         columns = len(array)
         indicator = None
+    plan = _KernelPlan(array, conductivity)
+    count = pts.shape[0]
+    out = xp.empty((count, columns), dtype=dtype)
     step = _chunk_size(len(array), chunk_elements)
-    if xp is np:
-        plan = _KernelPlan(array, conductivity)
-        out = np.empty((pts.shape[0], columns), dtype=dtype)
-        for start in range(0, pts.shape[0], step):
-            stop = start + step
-            block = plan.block(pts[start:stop, 0], pts[start:stop, 1])
-            out[start:stop] = block if indicator is None else block @ indicator
-        return out
-    generic = _GenericPlan(array, conductivity, xp)
-    chunks = []
-    for start in range(0, pts.shape[0], step):
-        stop = start + step
-        block = generic.block(pts[start:stop, 0], pts[start:stop, 1])
-        chunks.append(block if indicator is None else block @ indicator)
-    return chunks[0] if len(chunks) == 1 else xp.concat(chunks, axis=0)
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        block = plan.block(pts[start:stop, 0], pts[start:stop, 1])
+        out[start:stop, :] = block if indicator is None else block @ indicator
+    return out
 
 
 def scalar_reference_rise(

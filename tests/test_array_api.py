@@ -1,6 +1,6 @@
 """The ``xp`` seam under a non-numpy Array-API namespace.
 
-Every test runs the engines' one functional implementation under a
+Every test runs the engines' and kernels' one implementation under a
 foreign namespace and pins its float64 results to the numpy run
 **exactly**: the same per-element operations execute in the same order, so
 IEEE determinism makes the agreement bit-for-bit, not approximate.  (The
@@ -9,7 +9,8 @@ golden digests in ``tests/test_api.py`` pin the numpy results themselves.)
 Two namespaces are exercised:
 
 * :mod:`xp_proxy` — the suite's own numpy-delegating wrapper, always
-  available, proving the generic branches run and agree;
+  available, proving the non-numpy paths (no in-place ``out=``) run and
+  agree;
 * ``array_api_strict`` — the standard's reference implementation
   (CI ``array-api`` job; skipped locally when not installed), proving no
   NumPy-only idiom leaks through the seam.
@@ -33,6 +34,7 @@ from repro.core.cosim.transient_scenarios import (
 )
 from repro.core.leakage import kernel as leakage_kernel
 from repro.core.thermal import kernel as thermal_kernel
+from repro.core.thermal.images import ImageExpansion
 from repro.core.thermal.sources import HeatSource
 from repro.floorplan import three_block_floorplan
 from repro.technology import make_technology
@@ -85,10 +87,12 @@ def _sources():
     return [
         HeatSource(x=0.2e-3, y=0.3e-3, width=0.25e-3, length=0.12e-3, power=0.8),
         HeatSource(x=0.7e-3, y=0.6e-3, width=0.1e-3, length=0.4e-3, power=0.35),
-        HeatSource(x=0.5e-3, y=0.5e-3, width=0.2e-3, length=0.2e-3, power=-0.2,
-                   depth=0.3e-3),
-        HeatSource(x=0.8e-3, y=0.2e-3, width=0.05e-3, length=0.3e-3, power=0.5,
-                   depth=0.5e-3),
+        HeatSource(
+            x=0.5e-3, y=0.5e-3, width=0.2e-3, length=0.2e-3, power=-0.2, depth=0.3e-3
+        ),
+        HeatSource(
+            x=0.8e-3, y=0.2e-3, width=0.05e-3, length=0.3e-3, power=0.5, depth=0.5e-3
+        ),
     ]
 
 
@@ -151,6 +155,33 @@ class TestThermalKernel:
             group_count=2,
         )
         np.testing.assert_array_equal(to_numpy(generic), reference)
+
+    @pytest.mark.parametrize("rings", [0, 1, 2])
+    def test_image_expanded_sources_match_numpy_bitwise(self, ns, rings):
+        # Bottom images put a ladder of buried columns under every surface
+        # image, so consecutive buried columns share lateral slots.
+        surface = [source for source in _sources() if source.depth == 0.0]
+        expansion = ImageExpansion(three_block_floorplan().die, rings=rings)
+        array, groups = expansion.expand_arrays(surface)
+        plan = thermal_kernel._KernelPlan(array, 120.0)
+        assert plan.sx.size < plan.slot.size
+        points = _points()
+        foreign_points = ns.asarray(points)
+        foreign = array.cast(ns)
+        for chunk_elements in (16, thermal_kernel._DEFAULT_CHUNK_ELEMENTS):
+            reference = thermal_kernel.temperature_rise(
+                points, array, 120.0, chunk_elements=chunk_elements
+            )
+            generic = thermal_kernel.temperature_rise(
+                foreign_points, foreign, 120.0, chunk_elements=chunk_elements
+            )
+            np.testing.assert_array_equal(to_numpy(generic), reference)
+        for grouping in ({}, {"groups": groups, "group_count": len(surface)}):
+            reference = thermal_kernel.pairwise_rise(points, array, 120.0, **grouping)
+            generic = thermal_kernel.pairwise_rise(
+                foreign_points, foreign, 120.0, **grouping
+            )
+            np.testing.assert_array_equal(to_numpy(generic), reference)
 
 
 class TestLeakageKernel:

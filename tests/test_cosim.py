@@ -75,6 +75,20 @@ class TestBlockModels:
         with pytest.raises(ValueError):
             ScaledLeakageBlockModel("x", tech012, -1.0, 0.1)
 
+    @pytest.mark.parametrize(
+        "powers, message",
+        [
+            ((float("nan"), 0.1), "dynamic_power must be finite"),
+            ((float("inf"), 0.1), "dynamic_power must be finite"),
+            ((0.2, float("nan")), "static_power_at_reference must be finite"),
+            ((0.2, float("inf")), "static_power_at_reference must be finite"),
+            ((0.2, -0.1), "static_power_at_reference must be non-negative"),
+        ],
+    )
+    def test_scaled_block_names_each_bad_power(self, tech012, powers, message):
+        with pytest.raises(ValueError, match=message):
+            ScaledLeakageBlockModel("core", tech012, *powers)
+
     def test_factory_builds_all_blocks(self, tech012):
         models = block_models_from_powers(
             tech012, {"a": 1.0}, {"a": 0.1, "b": 0.2}

@@ -238,3 +238,20 @@ def test_negative_power_is_rejected_naming_the_field(kind, name):
         StudySpec.from_dict(data)
     assert error_body(str(excinfo.value))["error"]["field"] == name
     assert f"{name}['io']" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("value", [-1e-3, 0.0])
+def test_non_positive_time_constant_is_rejected_naming_the_field(value):
+    data = {
+        "kind": "transient",
+        "floorplan": FLOORPLAN,
+        "scenarios": [{"technology": {"node": "0.12um"}}],
+        "dynamic_powers": {"core": 0.2},
+        "duration": 1e-2,
+        "time_step": 1e-3,
+        "time_constants": {"core": value},
+    }
+    with pytest.raises(ValueError, match="positive") as excinfo:
+        StudySpec.from_dict(data)
+    assert error_body(str(excinfo.value))["error"]["field"] == "time_constants"
+    assert "time_constants['core']" in str(excinfo.value)

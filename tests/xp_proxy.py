@@ -88,6 +88,9 @@ class ProxyArray:
     def __getitem__(self, key):
         return _wrap(self.value[_unwrap(key)])
 
+    def __setitem__(self, key, value):
+        self.value[_unwrap(key)] = _unwrap(value)
+
     # -- interop ------------------------------------------------------- #
     def __dlpack__(self, **kwargs):
         return self.value.__dlpack__(**kwargs)
