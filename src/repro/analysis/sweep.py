@@ -195,21 +195,17 @@ def scenario_sweep(
     solve_kwargs:
         Forwarded to :meth:`~repro.core.cosim.scenarios.ScenarioEngine.solve`.
     """
-    if len(values) != len(scenarios):
-        raise ValueError("values and scenarios must align one-to-one")
-    if thermal_backend is not None:
-        engine = engine.with_backend(thermal_backend, backend_options)
-    elif backend_options:
-        raise ValueError("backend_options require thermal_backend")
-    result = SweepResult(parameter_name=parameter_name)
-    result.values = [float(value) for value in values]
-    batch = engine.solve(list(scenarios), **solve_kwargs)
-    result.results = steady_batch_series(batch)
-    for label, evaluator in (extra_series or {}).items():
-        result.results[label] = [
-            float(evaluator(batch, index)) for index in range(len(batch))
-        ]
-    return result
+    return _batched_sweep(
+        engine,
+        parameter_name,
+        values,
+        scenarios,
+        lambda engine, rows: engine.solve(rows, **solve_kwargs),
+        steady_batch_series,
+        extra_series,
+        thermal_backend,
+        backend_options,
+    )
 
 
 def transient_scenario_sweep(
@@ -262,25 +258,39 @@ def transient_scenario_sweep(
         Further keyword arguments for
         :meth:`TransientScenarioEngine.simulate`.
     """
+    return _batched_sweep(
+        engine,
+        parameter_name,
+        values,
+        scenarios,
+        lambda engine, rows: engine.simulate(
+            rows, duration, time_step, activity=activity, **simulate_kwargs
+        ),
+        lambda batch: transient_batch_series(batch, settle_tolerance_kelvin),
+        extra_series,
+        thermal_backend,
+        backend_options,
+    )
+
+
+def _batched_sweep(
+    engine, parameter_name, values, scenarios, solve, series, extra, backend, options
+) -> SweepResult:
+    """The steps both scenario sweeps share: align values with scenarios,
+    swap in the ``backend``, ``solve(engine, rows)`` once, then report
+    ``series(batch)`` plus each ``extra`` series as ``fn(batch, index)``."""
     if len(values) != len(scenarios):
         raise ValueError("values and scenarios must align one-to-one")
-    if thermal_backend is not None:
-        engine = engine.with_backend(thermal_backend, backend_options)
-    elif backend_options:
+    if backend is not None:
+        engine = engine.with_backend(backend, options)
+    elif options:
         raise ValueError("backend_options require thermal_backend")
-    result = SweepResult(parameter_name=parameter_name)
-    result.values = [float(value) for value in values]
-    batch = engine.simulate(
-        list(scenarios), duration, time_step, activity=activity, **simulate_kwargs
-    )
-    result.results = transient_batch_series(
-        batch, settle_tolerance_kelvin=settle_tolerance_kelvin
-    )
-    for label, evaluator in (extra_series or {}).items():
-        result.results[label] = [
-            float(evaluator(batch, index)) for index in range(len(batch))
-        ]
-    return result
+    swept = [float(value) for value in values]
+    batch = solve(engine, list(scenarios))
+    results = series(batch)
+    for label, evaluator in (extra or {}).items():
+        results[label] = [float(evaluator(batch, row)) for row in range(len(batch))]
+    return SweepResult(parameter_name, swept, results)
 
 
 def logspace(start: float, stop: float, count: int) -> np.ndarray:

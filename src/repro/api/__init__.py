@@ -7,7 +7,9 @@ Three layers:
   studies;
 * **facade** (:mod:`repro.api.study`) — the fluent :class:`Study` builder
   whose single :meth:`Study.run` dispatches to the batched engines and
-  returns a unified, serializable :class:`StudyResult`;
+  returns a unified, serializable :class:`StudyResult`; its kind
+  builders (``Study.steady(...)`` and friends) take :class:`StudySpec`
+  fields as keywords, and ``None`` keeps a field's default;
 * **CLI** (:mod:`repro.api.cli`) — ``repro run study.json`` /
   ``repro info`` (also ``python -m repro``).
 

@@ -33,8 +33,9 @@ Quick start::
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Union
 
 from ..core.cosim.scenarios import ScenarioEngine
 from ..core.cosim.streaming import (
@@ -50,39 +51,40 @@ from ..optimize.objectives import TemperatureCap
 from ..optimize.problems import PlacementProblem, SupplyProblem
 from ..optimize.search import run_search
 from .results import StudyResult
-from .specs import (
-    OptimizeSpec,
-    ScenarioGridSpec,
-    ScenarioSpec,
-    StudySpec,
-    TechnologySpec,
-    WorkloadSpec,
-    as_floorplan_spec,
-    as_optimize_spec,
-    as_scenario_grid_spec,
-    as_scenario_spec,
-    as_technology_spec,
-    as_workload_spec,
-)
+from .specs import ENGINE_FIELDS, OptimizeSpec, StudySpec
+
+#: ``Study.optimize`` keywords that describe the search, not the study.
+_SEARCH_FIELDS = frozenset(field.name for field in dataclasses.fields(OptimizeSpec))
 
 
-def _scenario_specs(scenarios: Iterable) -> Tuple[ScenarioSpec, ...]:
-    return tuple(as_scenario_spec(scenario) for scenario in scenarios)
+def _given(values: Mapping[str, Any]) -> Dict[str, Any]:
+    """The entries of ``values`` that are not ``None``: a ``None`` keyword
+    leaves its spec field at the field's default."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def _engine_options(spec: StudySpec) -> Dict[str, Any]:
+    """The :class:`ScenarioEngine` keyword arguments a spec carries.
+
+    Every :data:`~repro.api.specs.ENGINE_FIELDS` entry after the first
+    three (the floorplan and its two power maps, which engines and
+    optimize problems take positionally).
+    """
+    return {name: getattr(spec, name) for name in ENGINE_FIELDS[3:]}
 
 
 def build_engine(spec: StudySpec) -> ScenarioEngine:
-    """The steady-state scenario engine a spec describes."""
+    """The steady-state scenario engine a spec describes.
+
+    It reads exactly the spec's :data:`~repro.api.specs.ENGINE_FIELDS`,
+    which is what :meth:`~repro.api.specs.StudySpec.engine_hash` keys
+    compiled engines on.
+    """
     return ScenarioEngine(
         spec.floorplan.build(),
         spec.dynamic_powers,
         spec.static_powers,
-        image_rings=spec.image_rings,
-        include_bottom_images=spec.include_bottom_images,
-        device_type=spec.device_type,
-        thermal_backend=spec.thermal_backend,
-        backend_options=spec.backend_options,
-        array_backend=spec.array_backend,
-        precision=spec.precision,
+        **_engine_options(spec),
     )
 
 
@@ -117,21 +119,20 @@ def run_study(
         return _run_optimize(spec)
     if engine is None:
         engine = build_engine(spec)
-    if spec.streaming:
-        return _run_streamed(spec, engine, scenarios, progress)
-    if scenarios is None:
-        scenarios = spec.build_scenarios()
     options = _solver_options(spec)
     if spec.kind == "transient":
-        transient = TransientScenarioEngine(engine, time_constants=spec.time_constants)
-        activity = spec.workload.build() if spec.workload is not None else None
-        batch = transient.simulate(
-            scenarios,
+        engine = TransientScenarioEngine(engine, time_constants=spec.time_constants)
+        options.update(
             duration=spec.duration,
             time_step=spec.time_step,
-            activity=activity,
-            **options,
+            activity=spec.workload.build() if spec.workload is not None else None,
         )
+    if spec.streaming:
+        return _run_streamed(spec, engine, scenarios, progress, options)
+    if scenarios is None:
+        scenarios = spec.build_scenarios()
+    if spec.kind == "transient":
+        batch = engine.simulate(scenarios, **options)
         return StudyResult.from_transient_batch(spec, batch)
     batch = engine.solve(scenarios, **options)
     if spec.kind == "sweep":
@@ -141,19 +142,20 @@ def run_study(
 
 def _run_streamed(
     spec: StudySpec,
-    engine: ScenarioEngine,
+    engine: Union[ScenarioEngine, TransientScenarioEngine],
     scenarios: Optional[Sequence],
     progress: Optional[ProgressCallback],
+    options: Dict[str, Any],
 ) -> StudyResult:
     """The chunked execution path behind :func:`run_study`.
 
     Dispatches to :func:`~repro.core.cosim.streaming.stream_steady` /
-    :func:`~repro.core.cosim.streaming.stream_transient`; full fields are
+    :func:`~repro.core.cosim.streaming.stream_transient` with the solver
+    (and, for transient studies, integration) ``options``; full fields are
     retained (in RAM) unless the spec asked for ``reduction`` or routed
     them to ``memmap_path``, so a plain ``chunk_size=`` run reproduces the
     monolithic result arrays bit-for-bit.
     """
-    options = _solver_options(spec)
     if scenarios is not None:
         stream_source, total = iter(scenarios), len(scenarios)
     else:
@@ -164,33 +166,19 @@ def _run_streamed(
     keep_fields = (
         spec.kind != "sweep" and not spec.reduction and spec.memmap_path is None
     )
-    if spec.kind == "transient":
-        transient = TransientScenarioEngine(engine, time_constants=spec.time_constants)
-        activity = spec.workload.build() if spec.workload is not None else None
-        stream = stream_transient(
-            transient,
-            stream_source,
-            duration=spec.duration,
-            time_step=spec.time_step,
-            activity=activity,
-            chunk_size=spec.chunk_size or DEFAULT_TRANSIENT_CHUNK_SIZE,
-            total=total,
-            keep_fields=keep_fields,
-            memmap_path=spec.memmap_path,
-            progress=progress,
-            **options,
-        )
-        return StudyResult.from_transient_stream(spec, stream)
-    stream = stream_steady(
-        engine,
-        stream_source,
-        chunk_size=spec.chunk_size or DEFAULT_CHUNK_SIZE,
+    transient = spec.kind == "transient"
+    default_chunk = DEFAULT_TRANSIENT_CHUNK_SIZE if transient else DEFAULT_CHUNK_SIZE
+    options.update(
+        chunk_size=spec.chunk_size or default_chunk,
         total=total,
         keep_fields=keep_fields,
         memmap_path=spec.memmap_path,
         progress=progress,
-        **options,
     )
+    if transient:
+        stream = stream_transient(engine, stream_source, **options)
+        return StudyResult.from_transient_stream(spec, stream)
+    stream = stream_steady(engine, stream_source, **options)
     if spec.kind == "sweep":
         return StudyResult.from_sweep_stream(spec, stream)
     return StudyResult.from_steady_stream(spec, stream)
@@ -221,19 +209,6 @@ def _run_thermal_map(spec: StudySpec) -> StudyResult:
     nx, ny = spec.map_samples
     surface = model.surface_map(nx=nx, ny=ny)
     return StudyResult.from_surface_map(spec, surface, model.source_temperatures())
-
-
-def _engine_options(spec: StudySpec) -> Dict[str, Any]:
-    """The :class:`ScenarioEngine` keyword arguments a spec carries."""
-    return {
-        "image_rings": spec.image_rings,
-        "include_bottom_images": spec.include_bottom_images,
-        "device_type": spec.device_type,
-        "thermal_backend": spec.thermal_backend,
-        "backend_options": spec.backend_options,
-        "array_backend": spec.array_backend,
-        "precision": spec.precision,
-    }
 
 
 def _run_optimize(spec: StudySpec) -> StudyResult:
@@ -267,22 +242,15 @@ def _run_optimize(spec: StudySpec) -> StudyResult:
         solver_options=_solver_options(spec),
     )
     if opt.problem == "placement":
-        problem = PlacementProblem(
-            spec.floorplan.build(),
-            spec.dynamic_powers,
-            spec.static_powers,
-            scenarios,
-            movable=opt.movable or None,
-            **common,
-        )
-    else:  # supply
-        problem = SupplyProblem(
-            spec.floorplan.build(),
-            spec.dynamic_powers,
-            spec.static_powers,
-            scenarios,
-            **common,
-        )
+        common["movable"] = opt.movable or None
+    problem_class = PlacementProblem if opt.problem == "placement" else SupplyProblem
+    problem = problem_class(
+        spec.floorplan.build(),
+        spec.dynamic_powers,
+        spec.static_powers,
+        scenarios,
+        **common,
+    )
     outcome = run_search(
         problem,
         strategy=opt.strategy,
@@ -298,13 +266,14 @@ class Study:
 
     Construct via the kind-specific classmethods (:meth:`steady`,
     :meth:`transient`, :meth:`thermal_map`, :meth:`sweep`,
-    :meth:`optimize`) or from a
-    serialized spec (:meth:`from_dict`, :meth:`from_json`).  Builders
-    accept runtime objects (a built
-    :class:`~repro.floorplan.floorplan.Floorplan`) and plain data
-    (mappings, node names) interchangeably; everything is normalized into
-    the declarative spec, so any study a builder produces can be shipped as
-    JSON and re-run by the CLI.
+    :meth:`optimize`) or from a serialized spec (:meth:`from_dict`,
+    :meth:`from_json`).  Builders take :class:`StudySpec` fields as
+    keywords (``Study.steady(plan, chunk_size=4096, precision="float32")``)
+    and a ``None`` keyword leaves its field at the default.  The spec's
+    own checks coerce every value, so builders accept runtime objects (a
+    built :class:`~repro.floorplan.floorplan.Floorplan`, a ``Path``) and
+    plain data (mappings, node names, generators) interchangeably; any
+    study a builder produces can be shipped as JSON and re-run by the CLI.
     """
 
     def __init__(self, spec: StudySpec) -> None:
@@ -331,53 +300,30 @@ class Study:
         return f"Study({self._spec.describe()!r})"
 
     # ------------------------------------------------------------------ #
-    # Builders
+    # Builders: keywords are StudySpec fields
     # ------------------------------------------------------------------ #
+    @classmethod
+    def _build(cls, kind: str, floorplan, **fields: Any) -> "Study":
+        """A study of ``kind``; ``None``-valued fields keep their defaults."""
+        return cls(StudySpec(kind=kind, floorplan=floorplan, **_given(fields)))
+
     @classmethod
     def steady(
         cls,
         floorplan,
         dynamic_powers: Optional[Mapping[str, float]] = None,
         static_powers: Optional[Mapping[str, float]] = None,
-        scenarios: Iterable = (),
-        scenario_grid: Optional[Union[ScenarioGridSpec, Mapping[str, Any]]] = None,
-        chunk_size: Optional[int] = None,
-        reduction: bool = False,
-        memmap_path: Optional[Union[str, Path]] = None,
-        label: str = "",
-        image_rings: int = 1,
-        include_bottom_images: bool = True,
-        device_type: str = "nmos",
-        thermal_backend: str = "analytical",
-        backend_options: Optional[Mapping[str, int]] = None,
-        array_backend: Optional[str] = None,
-        precision: Optional[str] = None,
-        solver: Optional[Mapping[str, Any]] = None,
+        scenarios: Optional[Iterable] = None,
+        **fields: Any,
     ) -> "Study":
         """A batched steady-state study (one fixed point per scenario)."""
-        return cls(
-            StudySpec(
-                kind="steady",
-                floorplan=as_floorplan_spec(floorplan),
-                dynamic_powers=dict(dynamic_powers or {}),
-                static_powers=dict(static_powers or {}),
-                scenarios=_scenario_specs(scenarios),
-                scenario_grid=as_scenario_grid_spec(scenario_grid),
-                chunk_size=chunk_size,
-                reduction=reduction,
-                memmap_path=(
-                    str(memmap_path) if memmap_path is not None else None
-                ),
-                label=label,
-                image_rings=image_rings,
-                include_bottom_images=include_bottom_images,
-                device_type=device_type,
-                thermal_backend=thermal_backend,
-                backend_options=dict(backend_options or {}),
-                array_backend=array_backend,
-                precision=precision,
-                solver=dict(solver or {}),
-            )
+        return cls._build(
+            "steady",
+            floorplan,
+            dynamic_powers=dynamic_powers,
+            static_powers=static_powers,
+            scenarios=scenarios,
+            **fields,
         )
 
     @classmethod
@@ -386,55 +332,22 @@ class Study:
         floorplan,
         dynamic_powers: Optional[Mapping[str, float]] = None,
         static_powers: Optional[Mapping[str, float]] = None,
-        scenarios: Iterable = (),
-        scenario_grid: Optional[Union[ScenarioGridSpec, Mapping[str, Any]]] = None,
-        chunk_size: Optional[int] = None,
-        reduction: bool = False,
-        memmap_path: Optional[Union[str, Path]] = None,
+        scenarios: Optional[Iterable] = None,
         duration: float = 1.0,
         time_step: float = 1e-2,
-        workload: Optional[Union[WorkloadSpec, Mapping[str, Any]]] = None,
-        time_constants: Optional[Mapping[str, float]] = None,
-        label: str = "",
-        image_rings: int = 1,
-        include_bottom_images: bool = True,
-        device_type: str = "nmos",
-        thermal_backend: str = "analytical",
-        backend_options: Optional[Mapping[str, int]] = None,
-        array_backend: Optional[str] = None,
-        precision: Optional[str] = None,
-        solver: Optional[Mapping[str, Any]] = None,
+        **fields: Any,
     ) -> "Study":
-        """A batched time-domain study (one integration per scenario)."""
-        return cls(
-            StudySpec(
-                kind="transient",
-                floorplan=as_floorplan_spec(floorplan),
-                dynamic_powers=dict(dynamic_powers or {}),
-                static_powers=dict(static_powers or {}),
-                scenarios=_scenario_specs(scenarios),
-                scenario_grid=as_scenario_grid_spec(scenario_grid),
-                chunk_size=chunk_size,
-                reduction=reduction,
-                memmap_path=(
-                    str(memmap_path) if memmap_path is not None else None
-                ),
-                duration=duration,
-                time_step=time_step,
-                workload=as_workload_spec(workload),
-                time_constants=(
-                    dict(time_constants) if time_constants is not None else None
-                ),
-                label=label,
-                image_rings=image_rings,
-                include_bottom_images=include_bottom_images,
-                device_type=device_type,
-                thermal_backend=thermal_backend,
-                backend_options=dict(backend_options or {}),
-                array_backend=array_backend,
-                precision=precision,
-                solver=dict(solver or {}),
-            )
+        """A batched time-domain study (one integration per scenario),
+        over 1 s in 10 ms steps unless told otherwise."""
+        return cls._build(
+            "transient",
+            floorplan,
+            dynamic_powers=dynamic_powers,
+            static_powers=static_powers,
+            scenarios=scenarios,
+            duration=duration,
+            time_step=time_step,
+            **fields,
         )
 
     @classmethod
@@ -442,30 +355,17 @@ class Study:
         cls,
         floorplan,
         block_powers: Mapping[str, float],
-        technology: Optional[Union[TechnologySpec, str, Mapping[str, Any]]] = None,
-        ambient_temperature: Optional[float] = None,
-        samples: Tuple[int, int] = (50, 50),
-        label: str = "",
-        image_rings: int = 1,
-        include_bottom_images: bool = True,
-        precision: Optional[str] = None,
+        samples: Optional[Sequence[int]] = None,
+        **fields: Any,
     ) -> "Study":
-        """An analytical surface-map study of fixed block powers."""
-        return cls(
-            StudySpec(
-                kind="thermal_map",
-                floorplan=as_floorplan_spec(floorplan),
-                block_powers=dict(block_powers),
-                technology=(
-                    as_technology_spec(technology) if technology is not None else None
-                ),
-                ambient_temperature=ambient_temperature,
-                map_samples=samples,
-                label=label,
-                image_rings=image_rings,
-                include_bottom_images=include_bottom_images,
-                precision=precision,
-            )
+        """An analytical surface-map study of fixed block powers, sampled
+        on ``samples`` (the spec's ``map_samples``, ``(nx, ny)``)."""
+        return cls._build(
+            "thermal_map",
+            floorplan,
+            block_powers=block_powers,
+            map_samples=samples,
+            **fields,
         )
 
     @classmethod
@@ -475,38 +375,16 @@ class Study:
         parameter_name: str,
         parameter_values: Sequence[float],
         scenarios: Iterable,
-        dynamic_powers: Optional[Mapping[str, float]] = None,
-        static_powers: Optional[Mapping[str, float]] = None,
-        label: str = "",
-        image_rings: int = 1,
-        include_bottom_images: bool = True,
-        device_type: str = "nmos",
-        thermal_backend: str = "analytical",
-        backend_options: Optional[Mapping[str, int]] = None,
-        array_backend: Optional[str] = None,
-        precision: Optional[str] = None,
-        solver: Optional[Mapping[str, Any]] = None,
+        **fields: Any,
     ) -> "Study":
         """A steady batch reported as a 1-D sweep over ``parameter_name``."""
-        return cls(
-            StudySpec(
-                kind="sweep",
-                floorplan=as_floorplan_spec(floorplan),
-                parameter_name=parameter_name,
-                parameter_values=tuple(parameter_values),
-                scenarios=_scenario_specs(scenarios),
-                dynamic_powers=dict(dynamic_powers or {}),
-                static_powers=dict(static_powers or {}),
-                label=label,
-                image_rings=image_rings,
-                include_bottom_images=include_bottom_images,
-                device_type=device_type,
-                thermal_backend=thermal_backend,
-                backend_options=dict(backend_options or {}),
-                array_backend=array_backend,
-                precision=precision,
-                solver=dict(solver or {}),
-            )
+        return cls._build(
+            "sweep",
+            floorplan,
+            parameter_name=parameter_name,
+            parameter_values=parameter_values,
+            scenarios=scenarios,
+            **fields,
         )
 
     @classmethod
@@ -515,67 +393,30 @@ class Study:
         floorplan,
         dynamic_powers: Optional[Mapping[str, float]] = None,
         static_powers: Optional[Mapping[str, float]] = None,
-        scenarios: Iterable = (),
-        problem: str = "placement",
-        objective: Union[str, Mapping[str, float]] = "peak_rise",
-        variables: Iterable = (),
-        constraints: Optional[Mapping[str, float]] = None,
-        strategy: str = "random",
-        budget: int = 64,
-        generation_size: int = 16,
-        seed: int = 0,
-        movable: Iterable = (),
-        label: str = "",
-        image_rings: int = 1,
-        include_bottom_images: bool = True,
-        device_type: str = "nmos",
-        thermal_backend: str = "analytical",
-        backend_options: Optional[Mapping[str, int]] = None,
-        array_backend: Optional[str] = None,
-        precision: Optional[str] = None,
-        solver: Optional[Mapping[str, Any]] = None,
+        scenarios: Optional[Iterable] = None,
+        **fields: Any,
     ) -> "Study":
         """A design-space optimization study over batched engine solves.
 
-        ``problem`` picks the search space (``"placement"`` moves blocks on
-        the die under non-overlap; ``"supply"`` assigns a supply scale and
-        per-block activities); ``objective`` is an objective name or a
-        ``{name: weight}`` combination; ``constraints`` may carry a
-        ``temperature_cap`` (and ``penalty_weight``); ``variables`` entries
-        (:class:`~repro.api.specs.OptimizeVariable` or mappings) override
-        the problem's automatic bounds.  Fixed ``seed`` makes the whole
-        search replayable bit for bit.
+        :class:`~repro.api.specs.OptimizeSpec` field names among the
+        keywords describe the search and build the spec's ``optimize``
+        block: ``problem`` picks the search space (``"placement"`` moves
+        blocks on the die under non-overlap; ``"supply"`` assigns a supply
+        scale and per-block activities); ``objective`` is an objective
+        name or a ``{name: weight}`` combination; ``constraints`` may carry
+        a ``temperature_cap`` (and ``penalty_weight``); ``variables``
+        entries override the problem's automatic bounds.  A fixed ``seed``
+        makes the whole search replayable bit for bit.
         """
-        return cls(
-            StudySpec(
-                kind="optimize",
-                floorplan=as_floorplan_spec(floorplan),
-                dynamic_powers=dict(dynamic_powers or {}),
-                static_powers=dict(static_powers or {}),
-                scenarios=_scenario_specs(scenarios),
-                optimize=as_optimize_spec(
-                    OptimizeSpec(
-                        problem=problem,
-                        objective=objective,
-                        variables=tuple(variables),
-                        constraints=dict(constraints or {}),
-                        strategy=strategy,
-                        budget=budget,
-                        generation_size=generation_size,
-                        seed=seed,
-                        movable=tuple(movable),
-                    )
-                ),
-                label=label,
-                image_rings=image_rings,
-                include_bottom_images=include_bottom_images,
-                device_type=device_type,
-                thermal_backend=thermal_backend,
-                backend_options=dict(backend_options or {}),
-                array_backend=array_backend,
-                precision=precision,
-                solver=dict(solver or {}),
-            )
+        search = {name: fields.pop(name) for name in _SEARCH_FIELDS & set(fields)}
+        return cls._build(
+            "optimize",
+            floorplan,
+            dynamic_powers=dynamic_powers,
+            static_powers=static_powers,
+            scenarios=scenarios,
+            optimize=OptimizeSpec(**_given(search)),
+            **fields,
         )
 
     # ------------------------------------------------------------------ #
@@ -593,7 +434,7 @@ class Study:
 
     def with_scenarios(self, scenarios: Iterable) -> "Study":
         """Copy of the study over a different scenario list."""
-        return Study(self._spec.replace(scenarios=_scenario_specs(scenarios)))
+        return Study(self._spec.replace(scenarios=scenarios))
 
     def with_streaming(
         self,
@@ -607,13 +448,9 @@ class Study:
         reduced metrics are unchanged (chunking is bit-identical to the
         monolithic solve), only memory behavior and result retention move.
         """
-        overrides: Dict[str, Any] = {}
-        if chunk_size is not None:
-            overrides["chunk_size"] = chunk_size
-        if reduction is not None:
-            overrides["reduction"] = reduction
-        if memmap_path is not None:
-            overrides["memmap_path"] = str(memmap_path)
+        overrides = _given(
+            dict(chunk_size=chunk_size, reduction=reduction, memmap_path=memmap_path)
+        )
         if not overrides:
             return self
         return Study(self._spec.replace(**overrides))
@@ -631,8 +468,7 @@ class Study:
         """
         return Study(
             self._spec.replace(
-                thermal_backend=thermal_backend,
-                backend_options=dict(backend_options or {}),
+                thermal_backend=thermal_backend, backend_options=backend_options
             )
         )
 

@@ -53,6 +53,16 @@ _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: names the client's own input key, even when it is not a spec field.
 _NAMED_KEY = re.compile(r"(?:field|option|key)\(?s?\)?\s+'([A-Za-z_][A-Za-z0-9_]*)'")
 
+#: A valid ``Content-Length`` header value: a plain decimal byte count.
+_BYTE_COUNT = re.compile(r"[0-9]+")
+#: Bodies are read in pieces of this many bytes, so memory follows the
+#: bytes that arrive rather than the length a header claims.
+_READ_PIECE = 1 << 20
+#: Deepest container nesting a request body may have.  A study spec
+#: nests five levels at most; the bound keeps every recursive walk of the
+#: parsed body (validation, hashing, encoding) far from the stack limit.
+_MAX_DEPTH = 64
+
 
 class _NonFinite:
     """What ``json.loads`` leaves where a ``NaN``/``Infinity`` token stood."""
@@ -93,6 +103,20 @@ def _reject_non_finite(data: Any) -> None:
         f"request body is not valid JSON: field '{name}' ({where.lstrip('.') or name}) "
         f"holds the non-finite number {token}"
     )
+
+
+def _nesting_depth(value: Any) -> int:
+    """How many containers deep parsed JSON nests, measured level by level
+    (no recursion, so measuring cannot overflow the stack itself)."""
+    depth, level = 0, [value]
+    while level := [entry for entry in level if isinstance(entry, (dict, list))]:
+        depth += 1
+        level = [
+            child
+            for entry in level
+            for child in (entry.values() if isinstance(entry, dict) else entry)
+        ]
+    return depth
 
 
 def error_body(message: str) -> Dict[str, Any]:
@@ -139,12 +163,40 @@ class StudyRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
+    def _read_body(self) -> bytes:
+        """The ``Content-Length`` bytes of the request body, or a ValueError.
+
+        A header that is not a byte count, or a body that ends early,
+        leaves no way to find where the next request starts, so either
+        one also closes the connection after the reply.
+        """
+        header = self.headers.get("Content-Length", "0").strip()
+        if not _BYTE_COUNT.fullmatch(header):
+            self.close_connection = True
+            raise ValueError(
+                f"Content-Length header must be a byte count, got {header!r}"
+            )
+        length = int(header)
+        pieces = []
+        while length:
+            piece = self.rfile.read(min(length, _READ_PIECE))
+            if not piece:
+                self.close_connection = True
+                raise ValueError(
+                    f"request body ended {length} bytes short of its "
+                    "Content-Length header"
+                )
+            pieces.append(piece)
+            length -= len(piece)
+        return b"".join(pieces)
+
     def _read_json(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        raw = self._read_body()
         if not raw:
             raise ValueError("request body is empty; expected a JSON StudySpec")
         tokens: list = []
@@ -153,10 +205,17 @@ class StudyRequestHandler(BaseHTTPRequestHandler):
             tokens.append(token)
             return _NonFinite(token)
 
+        too_deep = f"request body nests deeper than {_MAX_DEPTH} levels"
         try:
             data = json.loads(raw.decode("utf-8"), parse_constant=non_finite)
+        except UnicodeDecodeError as error:
+            raise ValueError(f"request body is not UTF-8 text: {error}") from None
         except json.JSONDecodeError as error:
             raise ValueError(f"request body is not valid JSON: {error}") from None
+        except RecursionError:
+            raise ValueError(too_deep) from None
+        if _nesting_depth(data) > _MAX_DEPTH:
+            raise ValueError(too_deep)
         if tokens:
             _reject_non_finite(data)
         if not isinstance(data, dict):

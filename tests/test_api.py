@@ -1550,3 +1550,224 @@ def test_spec_hashes_match_golden_values(name):
     assert (canonical, spec.engine_hash()) == GOLDEN_SPEC_HASHES[name]
     assert StudySpec.from_dict(json.loads(spec.to_json())) == spec
     assert StudySpec.from_json(spec.to_json()).canonical_json() == spec.canonical_json()
+
+
+# --------------------------------------------------------------------- #
+# Golden builder hashes: every `Study` builder call is a spec contract
+# --------------------------------------------------------------------- #
+def _builder_corpus():
+    """``Study`` builder calls, each reduced to the spec it builds.
+
+    The calls cover the defaults, every argument set, ``None`` for each
+    optional mapping, a generator of scenarios, a ``Path`` memmap
+    directory, a ``scenario_grid`` mapping and every optimize field.
+    """
+    from pathlib import Path
+
+    plan = three_block_floorplan()
+    one = (ScenarioSpec(technology="0.12um"),)
+    common = _rich_common()
+    engine = {
+        name: value
+        for name, value in common.items()
+        if name not in ("floorplan", "dynamic_powers", "static_powers")
+    }
+    studies = {
+        "steady_defaults": Study.steady(plan, DYNAMIC, scenarios=one),
+        "steady_every_argument": Study.steady(
+            scenarios=_rich_scenarios(),
+            chunk_size=3,
+            reduction=True,
+            memmap_path=Path("fields"),
+            solver={"max_iterations": 7, "tolerance": 1e-9},
+            **common,
+        ),
+        "steady_none_mappings": Study.steady(
+            plan,
+            dynamic_powers=None,
+            static_powers=STATIC,
+            scenarios=one,
+            scenario_grid=None,
+            memmap_path=None,
+            backend_options=None,
+            solver=None,
+        ),
+        "steady_generator": Study.steady(
+            plan,
+            DYNAMIC,
+            STATIC,
+            scenarios=(
+                {"technology": node, "supply_scale": 0.9}
+                for node in ("0.18um", "0.12um")
+            ),
+        ),
+        "steady_grid": Study.steady(
+            common["floorplan"].to_dict(),
+            DYNAMIC,
+            scenario_grid={
+                "technologies": ["0.12um", {"node": "0.18um"}],
+                "supply_scales": [0.9, 1.1],
+                "activities": [0.5, {"core": 1.2}],
+            },
+            chunk_size=4,
+        ),
+        "transient_defaults": Study.transient(plan, DYNAMIC, STATIC, one),
+        "transient_every_argument": Study.transient(
+            scenarios=_rich_scenarios(),
+            chunk_size=2,
+            reduction=True,
+            memmap_path=Path("transient_fields"),
+            duration=20e-3,
+            time_step=0.5e-3,
+            workload={
+                "kind": "pwm",
+                "parameters": {"periods": [4e-3, 2e-3, 1e-3], "duty_cycles": 0.4},
+            },
+            time_constants={"core": 2e-3, "io": 1e-3},
+            solver={"max_temperature": 700.0, "include_activity_edges": False},
+            **common,
+        ),
+        "transient_none_mappings": Study.transient(
+            plan,
+            None,
+            STATIC,
+            one,
+            workload=None,
+            time_constants=None,
+            backend_options=None,
+            solver=None,
+        ),
+        "thermal_map_defaults": Study.thermal_map(plan, {"core": 0.3}),
+        "thermal_map_every_argument": Study.thermal_map(
+            common["floorplan"],
+            {"core": 0.3, "io": 0.05},
+            technology="0.18um",
+            ambient_temperature=330.0,
+            samples=[12, 9],
+            label="map",
+            image_rings=0,
+            include_bottom_images=False,
+            precision="float64",
+        ),
+        "thermal_map_technology_mapping": Study.thermal_map(
+            plan,
+            {"cache": 0.1},
+            technology={"node": "0.25um", "ambient_celsius": 40.0},
+        ),
+        "sweep_every_argument": Study.sweep(
+            parameter_name="corner",
+            parameter_values=[1, 2.5],
+            scenarios=list(_rich_scenarios()),
+            solver={"damping": 0.5},
+            **common,
+        ),
+        "optimize_defaults": Study.optimize(plan, DYNAMIC, STATIC, one),
+        "optimize_every_argument": Study.optimize(
+            common["floorplan"],
+            DYNAMIC,
+            STATIC,
+            _rich_scenarios(),
+            problem="placement",
+            objective={"peak_rise": 1.0, "total_power": 5.0},
+            variables=[
+                OptimizeVariable("core.x", 3e-4, 6e-4),
+                {"name": "cache.y", "lower": 4e-4, "upper": 7e-4},
+            ],
+            constraints={"temperature_cap": 420.0, "penalty_weight": 2.0},
+            strategy="nelder_mead",
+            budget=12,
+            generation_size=6,
+            seed=3,
+            movable=["core", "cache"],
+            solver={"tolerance": 1e-8},
+            **engine,
+        ),
+        "optimize_supply_none_mappings": Study.optimize(
+            plan,
+            DYNAMIC,
+            None,
+            one,
+            problem="supply",
+            objective="total_static_power",
+            constraints=None,
+            backend_options=None,
+            solver=None,
+        ),
+    }
+    return {name: study.spec for name, study in studies.items()}
+
+
+#: ``content_hash()`` of every spec in :func:`_builder_corpus`, recorded
+#: while each builder still spelled out its own keyword list.
+GOLDEN_BUILDER_HASHES = {
+    "optimize_defaults": (
+        "df2d72df3a54d27c78ab75765d430b63cf31e80019bbab25df26b27b005ca658"
+    ),
+    "optimize_every_argument": (
+        "1e799838c78bfc1c5bff120762e315d59f2455199d1c61679e404b2d1d58dd6a"
+    ),
+    "optimize_supply_none_mappings": (
+        "f95d892bc6b50e00821ec79d9f18328470016abeed8e81e6d98b25fa116c3ef2"
+    ),
+    "steady_defaults": (
+        "a4d5bb596a4373c6fc66bf7e3b1eae3e256a4232d4c0fbf51fb9e0679815be1a"
+    ),
+    "steady_every_argument": (
+        "5366a1feff955119c3d2e7493adeedf6ba0603ef1c80bb516229d522c48d7edf"
+    ),
+    "steady_generator": (
+        "f100b00a9e9dacffc4414b40c41eb98cc707d9134ceb079fb326e398c66f1fac"
+    ),
+    "steady_grid": "34fd66070d1303d2b7275c2adbd8605506aa18a7108d5e131ebd11af97c3f179",
+    "steady_none_mappings": (
+        "b096812ccb6caab061009602ccdd50bd36bcd6ed74a5bad1d64e117eec9b3eb6"
+    ),
+    "sweep_every_argument": (
+        "21d2347b4155829288b4ef80a7c1b1def9d04779f5a7545a123e9e83ed18cbae"
+    ),
+    "thermal_map_defaults": (
+        "964640967e97d99f2e8684c75779cba8a10d20e508aad7e1dbfe6254eb7362eb"
+    ),
+    "thermal_map_every_argument": (
+        "00f0575b9bcfc841b98228135bc61f2042d53c777301a79e7bb9e8894b249e59"
+    ),
+    "thermal_map_technology_mapping": (
+        "68c37fece215db2e923d49538b4b51b90abe3c34da1501f890243cc1502f4cec"
+    ),
+    "transient_defaults": (
+        "de1f7e5fa15a5898c2488c35db17ce24a887cec199526162e6406e609c69e6bb"
+    ),
+    "transient_every_argument": (
+        "d982741d346ac940108878c4afbb8e1033ba51dec11fe0a32d544e15094b9165"
+    ),
+    "transient_none_mappings": (
+        "1f859cb1d181a8faddb009d04554f27947b3955a0066fa36d79a2aced5dfe44d"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_builder_corpus()))
+def test_builder_hashes_match_golden_values(name):
+    spec = _builder_corpus()[name]
+    assert spec.content_hash() == GOLDEN_BUILDER_HASHES[name]
+    assert StudySpec.from_json(spec.to_json()) == spec
+
+
+def test_build_engine_reads_exactly_the_engine_fields():
+    """The compile cache keys on ``engine_hash``; it must cover every spec
+    field ``build_engine`` reads, and nothing else."""
+    from repro.api.specs import ENGINE_FIELDS
+    from repro.api.study import build_engine
+
+    class Recording:
+        def __init__(self, spec):
+            self.spec, self.read = spec, set()
+
+        def __getattr__(self, name):
+            self.read.add(name)
+            return getattr(self.spec, name)
+
+    spec = _builder_corpus()["steady_defaults"]
+    recording = Recording(spec)
+    build_engine(recording)
+    assert recording.read == set(ENGINE_FIELDS)

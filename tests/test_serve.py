@@ -14,11 +14,16 @@ solve, a drained shutdown completes in-flight work.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from http.client import HTTPResponse
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import StudyResult, StudySpec, run_study
 from repro.api.cli import main as cli_main
@@ -33,7 +38,7 @@ from repro.serve import (
     make_server,
     solve_key,
 )
-from repro.serve.server import error_body
+from repro.serve.server import _MAX_DEPTH, error_body
 
 # --------------------------------------------------------------------- #
 # Fixtures: small steady specs sharing one engine configuration
@@ -420,6 +425,149 @@ class TestHTTPServer:
         assert not worker.is_alive() and not thread.is_alive()
         # The in-flight request completed, correctly, during the drain.
         assert StudyResult.from_envelope(results["envelope"]).equals(run_study(spec))
+
+
+# --------------------------------------------------------------------- #
+# Malformed requests over a raw socket
+# --------------------------------------------------------------------- #
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+
+
+def _request(body: bytes, length=None) -> bytes:
+    """A keep-alive ``POST /run`` carrying ``body`` (``length`` overrides
+    the ``Content-Length`` header value)."""
+    length = len(body) if length is None else length
+    head = f"POST /run HTTP/1.1\r\nHost: test\r\nContent-Length: {length}\r\n"
+    return head.encode("ascii") + b"\r\n" + body
+
+
+def _reply_to(address, request: bytes, half_close: bool = False):
+    """Send raw request bytes; the ``(status, body)`` of the first reply.
+
+    The client gives up after 30 s, so a handler that never replies fails
+    the test instead of hanging it.  ``half_close`` ends the request
+    stream after the bytes, as a client does once it has sent everything.
+    """
+    with socket.create_connection(address, timeout=30.0) as sock:
+        sock.sendall(request)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        with HTTPResponse(sock) as response:
+            response.begin()
+            return response.status, response.read()
+
+
+def _nested(depth: int) -> bytes:
+    return b"[" * depth + b"]" * depth
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("length", ["-1", "abc", "1_0", "+4"])
+    def test_bad_content_length_is_400_naming_the_header(
+        self, http_service, length
+    ):
+        host, port, _ = http_service
+        status, body = _reply_to((host, port), _request(b"{}", length))
+        assert status == 400
+        assert "Content-Length" in json.loads(body)["error"]["message"]
+
+    def test_body_shorter_than_content_length_is_400(self, http_service):
+        host, port, _ = http_service
+        request = _request(b'{"kind": "steady"}', length=64)
+        status, body = _reply_to((host, port), request, half_close=True)
+        assert status == 400
+        assert "Content-Length" in json.loads(body)["error"]["message"]
+
+    @pytest.mark.parametrize("depth", [_MAX_DEPTH + 1, 900, 5000])
+    def test_deep_nesting_anywhere_is_400(self, http_service, depth):
+        host, port, _ = http_service
+        inside = json.dumps(steady_spec().to_dict()).encode()
+        label = b'{"label": ' + _nested(depth) + b", "
+        inside = inside.replace(b"{", label, 1)
+        for body in (_nested(depth), inside):
+            status, reply = _reply_to((host, port), _request(body))
+            assert status == 400, depth
+            assert "nests deeper" in json.loads(reply)["error"]["message"]
+
+    def test_non_utf8_body_is_400(self, http_service):
+        host, port, _ = http_service
+        body = json.dumps(steady_spec().to_dict()).encode()
+        body = body.replace(b"chip", b"ch\xffp")
+        status, reply = _reply_to((host, port), _request(body))
+        assert status == 400
+        assert "UTF-8" in json.loads(reply)["error"]["message"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_address():
+    """One server for every fuzzed request (hypothesis reruns the test
+    body many times, so a per-test server would restart for each)."""
+    server = make_server("127.0.0.1", 0, window=0.0)
+    thread = threading.Thread(target=server.run, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[:2]
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+
+
+example_bodies = st.sampled_from(
+    [path.read_bytes() for path in sorted(EXAMPLES.glob("study_*.json"))]
+)
+#: Replacement bytes for a flip: structure, quotes, a space, letters,
+#: a control byte and non-UTF-8 bytes, but no digit, sign or point, so a
+#: flipped number turns invalid or smaller and never makes a study slower.
+flip_bytes = st.sampled_from(b' {}[]:,"\\aZ\x00\x80\xff')
+
+
+@st.composite
+def malformed_requests(draw):
+    """``(request bytes, half_close)`` for one malformed ``POST /run``."""
+    body = draw(example_bodies)
+    form = draw(
+        st.sampled_from(
+            ("truncated", "flipped", "top_level", "non_utf8", "nested", "length")
+        )
+    )
+    length = None
+    if form == "truncated":
+        body = body[: draw(st.integers(0, len(body) - 1))]
+    elif form == "flipped":
+        index = draw(st.integers(0, len(body) - 1))
+        body = body[:index] + bytes([draw(flip_bytes)]) + body[index + 1 :]
+    elif form == "top_level":
+        value = draw(
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.integers(),
+                st.text(max_size=8),
+                st.lists(st.integers(), max_size=3),
+            )
+        )
+        body = json.dumps(value).encode()
+    elif form == "non_utf8":
+        index = draw(st.integers(0, len(body)))
+        bad = draw(st.sampled_from((b"\xff", b"\xc3(", b"\xed\xa0\x80")))
+        body = body[:index] + bad + body[index:]
+    elif form == "nested":
+        nested = _nested(draw(st.integers(_MAX_DEPTH + 1, 3000)))
+        body = nested if draw(st.booleans()) else b'{"kind": ' + nested + b"}"
+    else:
+        length = len(body) + draw(st.integers(-len(body), 64))
+    return _request(body, length), form == "length"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(request=malformed_requests())
+def test_malformed_requests_get_a_timely_200_or_4xx(fuzz_address, request):
+    """Whatever arrives, a JSON reply arrives: a 200 or a 4xx, never a 500
+    and never a handler that does not answer."""
+    raw, half_close = request
+    status, body = _reply_to(fuzz_address, raw, half_close=half_close)
+    assert status == 200 or 400 <= status < 500, (status, body[:200])
+    json.loads(body)
 
 
 # --------------------------------------------------------------------- #
