@@ -16,7 +16,7 @@ with approximation.
 
 from __future__ import annotations
 
-import json
+import statistics
 import threading
 import time
 from pathlib import Path
@@ -31,7 +31,12 @@ from repro.serve import make_server
 DISTINCT = 8
 REPEATS = 6
 CLIENTS = 8
+#: The studies/s and p99 gates read the best of this many warm replays.
 REPETITIONS = 3
+#: Interleaved served/direct trials; the warm/direct ratio is their
+#: median, since one reading of it spreads 0.47x-0.92x on a shared
+#: 2-vCPU machine.
+TRIALS = 5
 #: Floors/ceilings committed against the measured PR-7 numbers (~500
 #: studies/s, p99 ~30ms, warm/direct ratio ~0.9-1.7x depending on run)
 #: with generous headroom for CI-runner jitter; see docs/serving.md.
@@ -44,47 +49,54 @@ P99_CEILING_MS = 250.0
 BENCH_PATH = Path(__file__).resolve().parent / "BENCH_serve.json"
 
 
+def _direct_seconds_per_study(specs) -> float:
+    """One in-process pass of ``run_study`` over ``specs``, per study."""
+    start = time.perf_counter()
+    for spec in specs:
+        run_study(spec)
+    return (time.perf_counter() - start) / len(specs)
+
+
 def test_serve_throughput():
     workload = build_workload(distinct=DISTINCT, repeats=REPEATS)
+    distinct_specs = workload[:DISTINCT]
     server = make_server("127.0.0.1", 0)
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.run, daemon=True)
     thread.start()
+    served_runs, direct_runs, ratios = [], [], []
     try:
         # Warm pass: compiles the engine, fills the result cache, and
-        # verifies every distinct spec bit-identical to direct execution.
+        # verifies every distinct spec bit-identical to direct execution
+        # (which also warms the module-level reduction caches).
         replay(host, port, workload, clients=CLIENTS, verify=True)
-        # Timed passes, all warm (the serving steady state); best of
-        # REPETITIONS to be scheduler-stall robust like the other benches.
-        metrics = None
-        for _ in range(REPETITIONS):
-            candidate = replay(host, port, workload, clients=CLIENTS, verify=False)
-            if metrics is None or (
-                candidate["studies_per_second"] > metrics["studies_per_second"]
-            ):
-                metrics = candidate
+        for trial in range(TRIALS):
+            # Timed passes, all warm (the serving steady state), each
+            # paired with a direct rerun of the distinct specs (the cost a
+            # client pays re-running a study instead of asking the
+            # service).  The side that runs first alternates, so a drift
+            # in machine load does not always favour one of them.
+            if trial % 2:
+                direct = _direct_seconds_per_study(distinct_specs)
+            served = replay(host, port, workload, clients=CLIENTS, verify=False)
+            if not trial % 2:
+                direct = _direct_seconds_per_study(distinct_specs)
+            served_runs.append(served)
+            direct_runs.append(direct)
+            ratios.append(direct * served["studies_per_second"])
     finally:
         server.shutdown()
         thread.join(timeout=30)
     assert not thread.is_alive()
 
-    # Direct-execution baseline over the same distinct specs (the cost a
-    # client pays re-running a study instead of asking the service),
-    # best of REPETITIONS.
-    distinct_specs = workload[:DISTINCT]
-    for spec in distinct_specs:
-        run_study(spec)  # warm module-level reduction caches
-    direct_seconds_per_study = float("inf")
-    for _ in range(REPETITIONS):
-        start = time.perf_counter()
-        for spec in distinct_specs:
-            run_study(spec)
-        direct_seconds_per_study = min(
-            direct_seconds_per_study, (time.perf_counter() - start) / DISTINCT
-        )
-
-    served_seconds_per_study = 1.0 / metrics["studies_per_second"]
-    speedup = direct_seconds_per_study / served_seconds_per_study
+    # Best of the first REPETITIONS replays, to be scheduler-stall robust
+    # like the other benches.
+    metrics = max(served_runs[:REPETITIONS], key=lambda m: m["studies_per_second"])
+    direct_seconds_per_study = statistics.median(direct_runs)
+    served_seconds_per_study = statistics.median(
+        1.0 / run["studies_per_second"] for run in served_runs
+    )
+    speedup = statistics.median(ratios)
 
     record = {
         "benchmark": "serve_throughput",
@@ -98,6 +110,7 @@ def test_serve_throughput():
         "served_seconds_per_study": served_seconds_per_study,
         "result_cache_hits": metrics["result_cache_hits"],
         "speedup": speedup,
+        "trial_speedups": ratios,
         "required_speedup": REQUIRED_WARM_SPEEDUP,
         "auxiliary_ratios": [
             {
@@ -122,7 +135,8 @@ def test_serve_throughput():
         title=(
             f"serve throughput {metrics['studies_per_second']:.0f} studies/s, "
             f"p50 {metrics['p50_ms']:.1f}ms p99 {metrics['p99_ms']:.1f}ms, "
-            f"warm speedup {speedup:.1f}x (floor {REQUIRED_WARM_SPEEDUP}x)"
+            f"warm speedup {speedup:.2f}x, median of {TRIALS} "
+            f"(floor {REQUIRED_WARM_SPEEDUP}x)"
         ),
     )
 

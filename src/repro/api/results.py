@@ -9,22 +9,25 @@ thermal model — the result exposes the same surface:
 * ``as_arrays()`` — the numerical payload as named numpy arrays;
 * ``to_json()`` / ``from_json()`` — lossless persistence.  Arrays are
   serialized element-exactly (JSON floats round-trip ``float64`` via
-  ``repr``), so a reloaded result compares bit-identically to the original
-  — the cache/replay property pinned by ``tests/test_api.py``;
+  ``repr``; a NaN element, such as a ``runaway_times`` entry of a row that
+  never ran away, is written as ``null``, so the output is strict JSON),
+  and a reloaded result compares bit-identically to the original — the
+  cache/replay property pinned by ``tests/test_api.py``;
 * ``native`` — the engine's own result object
   (:class:`~repro.core.cosim.scenarios.ScenarioBatchResult`,
   :class:`~repro.core.cosim.transient_scenarios.TransientBatchResult`,
-  :class:`~repro.core.thermal.superposition.SurfaceMap` or
-  :class:`~repro.analysis.sweep`-style series) for callers that want the
-  full rich API.  ``native`` is runtime-only: results reloaded from JSON
-  carry ``native=None`` but identical arrays.
+  :class:`~repro.core.cosim.streaming.StreamResult`,
+  :class:`~repro.core.thermal.superposition.SurfaceMap` or a search
+  outcome) for callers that want the full rich API.  ``native`` is
+  runtime-only: results reloaded from JSON carry ``native=None`` but
+  identical arrays.
 
-The array fields and per-scenario metric series come from the batch
-classes' ``FIELDS`` and ``series()``
-(:class:`~repro.core.cosim.scenarios.ScenarioBatchResult`,
-:class:`~repro.core.cosim.transient_scenarios.TransientBatchResult`), so
-monolithic, streamed and sweep-kind studies and the classic
-:func:`repro.analysis.sweep.scenario_sweep` /
+One packer (:meth:`StudyResult._pack`) turns whatever an engine returned
+into every kind's arrays and metadata, and one table per kind
+(``_SUMMARY``) lists the headline entries.  The array fields and
+per-scenario metric series come from the batch classes' ``FIELDS``,
+properties and ``series()``, so monolithic, streamed and sweep-kind
+studies and the classic :func:`repro.analysis.sweep.scenario_sweep` /
 :func:`~repro.analysis.sweep.transient_scenario_sweep` helpers report the
 *same* quantities from one definition.
 """
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,12 +51,20 @@ from .specs import StudySpec, load_json_object
 #: Serialization format version (bump on incompatible layout changes).
 RESULT_FORMAT = 1
 
+#: The batch class behind each scenario-engine kind's fields and series.
+_BATCHES = {"steady": ScenarioBatchResult, "transient": TransientBatchResult}
+
 
 def _encode_array(array: np.ndarray) -> Dict[str, Any]:
+    data = array
+    if array.dtype.kind == "f" and np.isnan(array).any():
+        # NaN is not JSON; ``null`` decodes back to NaN in a float array.
+        data = array.astype(object)
+        data[np.isnan(array)] = None
     return {
         "dtype": str(array.dtype),
         "shape": list(array.shape),
-        "data": array.tolist(),
+        "data": data.tolist(),
     }
 
 
@@ -62,15 +73,10 @@ def _decode_array(data: Mapping[str, Any]) -> np.ndarray:
     return array.reshape(tuple(data["shape"]))
 
 
-def _streaming_metadata(stream: StreamResult) -> Dict[str, Any]:
-    streaming: Dict[str, Any] = {
-        "chunk_size": int(stream.chunk_size),
-        "chunk_count": int(stream.chunk_count),
-        "reduced": stream.fields is None,
-    }
-    if stream.memmap_path is not None:
-        streaming["memmap_path"] = stream.memmap_path
-    return streaming
+def _scenario_labels(scenarios) -> Callable[[], Dict[str, Any]]:
+    """The per-scenario display labels, as deferred metadata: formatting
+    them would otherwise dominate small studies."""
+    return lambda: {"scenario_labels": [s.describe() for s in scenarios]}
 
 
 class StudyResult:
@@ -128,39 +134,107 @@ class StudyResult:
         )
 
     # ------------------------------------------------------------------ #
-    # Constructors (one per study kind)
+    # Constructors: every engine outcome goes through one packer
     # ------------------------------------------------------------------ #
     @classmethod
-    def _from_batch(
-        cls,
-        kind: str,
-        spec: StudySpec,
-        batch: Union[ScenarioBatchResult, TransientBatchResult],
-    ) -> "StudyResult":
-        return cls(
-            kind=kind,
-            spec=spec,
-            arrays={name: getattr(batch, name) for name in batch.FIELDS},
-            metadata={"block_names": list(batch.block_names)},
-            deferred_metadata=lambda: {
-                "scenario_labels": [s.describe() for s in batch.scenarios]
-            },
-            native=batch,
-        )
+    def _pack(cls, spec: StudySpec, native: Any, context: Any = None) -> "StudyResult":
+        """The result of ``spec`` from what its engine returned.
+
+        ``native`` is a solved steady or transient batch, a
+        :class:`~repro.core.cosim.streaming.StreamResult` (retained fields,
+        or the reduced series plus ``block_temperature_max``/``times``), a
+        :class:`~repro.core.thermal.superposition.SurfaceMap` (``context``:
+        the solved source temperatures) or a search outcome (``context``:
+        the problem that decodes its best candidate).  A sweep reports the
+        reduced series of its batch or stream over the parameter values.
+        """
+        kind = spec.kind
+        metadata: Dict[str, Any] = {}
+        deferred = None
+        if kind == "thermal_map":
+            arrays = {
+                "x_coordinates": native.x_coordinates,
+                "y_coordinates": native.y_coordinates,
+                "temperature": native.temperature,
+            }
+            metadata["ambient_temperature"] = float(native.ambient_temperature)
+            metadata["source_temperatures"] = {
+                name: float(value) for name, value in context.items()
+            }
+        elif kind == "optimize":
+            generations = native.generations
+            arrays = {
+                "best_candidate": native.best_candidate,
+                "objective_trace": native.objective_trace,
+                "generation_best": np.array([g.best for g in generations], float),
+                "generation_mean": np.array([g.mean for g in generations], float),
+                "generation_sizes": np.array([g.size for g in generations], np.int64),
+                "generation_feasible": np.array(
+                    [g.feasible for g in generations], np.int64
+                ),
+            }
+            objective = spec.optimize.objective
+            if not isinstance(objective, str):
+                objective = {name: float(value) for name, value in objective.items()}
+            metadata.update(
+                problem=spec.optimize.problem,
+                objective=objective,
+                strategy=native.strategy,
+                variable_names=list(native.variable_names),
+                evaluations=int(native.evaluations),
+                best_objective=float(native.best_objective),
+                best_feasible=bool(native.best_feasible),
+                best_detail={
+                    name: value if isinstance(value, (dict, str)) else float(value)
+                    for name, value in context.describe(native.best_candidate).items()
+                },
+            )
+        else:
+            stream = native if isinstance(native, StreamResult) else None
+            if kind == "sweep":
+                series = native.series() if stream is None else stream.series
+                reported = sweep_series(series)
+                arrays = {"values": np.asarray(spec.parameter_values, float)}
+                arrays.update(reported)
+                metadata["parameter_name"] = spec.parameter_name
+                metadata["series"] = list(reported)
+            elif stream is None:
+                arrays = {name: getattr(native, name) for name in native.FIELDS}
+            elif stream.fields is not None:
+                fields = _BATCHES[kind].FIELDS
+                arrays = {name: stream.fields[name] for name in fields}
+            else:
+                arrays = dict(stream.series)
+                if stream.times is not None:
+                    arrays["times"] = stream.times
+                arrays["block_temperature_max"] = stream.block_temperature_max
+            metadata["block_names"] = list(native.block_names)
+            if stream is None:
+                deferred = _scenario_labels(native.scenarios)
+            else:
+                streaming = metadata["streaming"] = {
+                    "chunk_size": int(stream.chunk_size),
+                    "chunk_count": int(stream.chunk_count),
+                    "reduced": stream.fields is None,
+                }
+                if stream.memmap_path is not None:
+                    streaming["memmap_path"] = stream.memmap_path
+        return cls(kind, spec, arrays, metadata, native, deferred)
 
     @classmethod
     def from_steady_batch(
         cls, spec: StudySpec, batch: ScenarioBatchResult
     ) -> "StudyResult":
-        """Package a solved steady :class:`ScenarioBatchResult` for ``spec``."""
-        return cls._from_batch("steady", spec, batch)
+        """Package a solved :class:`ScenarioBatchResult` for a steady or
+        sweep ``spec`` (a sweep reports its per-scenario series)."""
+        return cls._pack(spec, batch)
 
     @classmethod
     def from_transient_batch(
         cls, spec: StudySpec, batch: TransientBatchResult
     ) -> "StudyResult":
         """Package a solved :class:`TransientBatchResult` for ``spec``."""
-        return cls._from_batch("transient", spec, batch)
+        return cls._pack(spec, batch)
 
     @classmethod
     def from_surface_map(
@@ -170,65 +244,7 @@ class StudyResult:
         source_temperatures: Mapping[str, float],
     ) -> "StudyResult":
         """Package a sampled :class:`SurfaceMap` and its source solve."""
-        return cls(
-            kind="thermal_map",
-            spec=spec,
-            arrays={
-                "x_coordinates": surface.x_coordinates,
-                "y_coordinates": surface.y_coordinates,
-                "temperature": surface.temperature,
-            },
-            metadata={
-                "ambient_temperature": float(surface.ambient_temperature),
-                "source_temperatures": {
-                    name: float(value)
-                    for name, value in source_temperatures.items()
-                },
-            },
-            native=surface,
-        )
-
-    @classmethod
-    def _from_sweep(
-        cls,
-        spec: StudySpec,
-        series: Mapping[str, np.ndarray],
-        block_names: Sequence[str],
-        native: Any,
-        streaming: Optional[Dict[str, Any]] = None,
-        deferred_metadata: Optional[Any] = None,
-    ) -> "StudyResult":
-        reported = sweep_series(series)
-        metadata: Dict[str, Any] = {
-            "parameter_name": spec.parameter_name,
-            "series": list(reported),
-            "block_names": list(block_names),
-        }
-        if streaming is not None:
-            metadata["streaming"] = streaming
-        return cls(
-            kind="sweep",
-            spec=spec,
-            arrays={"values": np.asarray(spec.parameter_values, float), **reported},
-            metadata=metadata,
-            deferred_metadata=deferred_metadata,
-            native=native,
-        )
-
-    @classmethod
-    def from_sweep_batch(
-        cls, spec: StudySpec, batch: ScenarioBatchResult
-    ) -> "StudyResult":
-        """Package a sweep: per-scenario metric series over the parameter axis."""
-        return cls._from_sweep(
-            spec,
-            batch.series(),
-            batch.block_names,
-            native=batch,
-            deferred_metadata=lambda: {
-                "scenario_labels": [s.describe() for s in batch.scenarios]
-            },
-        )
+        return cls._pack(spec, surface, source_temperatures)
 
     @classmethod
     def from_optimize(cls, spec: StudySpec, outcome, problem) -> "StudyResult":
@@ -241,107 +257,27 @@ class StudyResult:
         Everything is plain data, so a reloaded result compares
         bit-identically (the replay property shared with the other kinds).
         """
-        opt = spec.optimize
-        assert opt is not None
-        objective = (
-            opt.objective
-            if isinstance(opt.objective, str)
-            else {name: float(value) for name, value in opt.objective.items()}
-        )
-        best_detail = {
-            name: value if isinstance(value, (dict, str)) else float(value)
-            for name, value in problem.describe(outcome.best_candidate).items()
-        }
-        return cls(
-            kind="optimize",
-            spec=spec,
-            arrays={
-                "best_candidate": outcome.best_candidate,
-                "objective_trace": outcome.objective_trace,
-                "generation_best": np.array(
-                    [g.best for g in outcome.generations], dtype=float
-                ),
-                "generation_mean": np.array(
-                    [g.mean for g in outcome.generations], dtype=float
-                ),
-                "generation_sizes": np.array(
-                    [g.size for g in outcome.generations], dtype=np.int64
-                ),
-                "generation_feasible": np.array(
-                    [g.feasible for g in outcome.generations], dtype=np.int64
-                ),
-            },
-            metadata={
-                "problem": opt.problem,
-                "objective": objective,
-                "strategy": outcome.strategy,
-                "variable_names": list(outcome.variable_names),
-                "evaluations": int(outcome.evaluations),
-                "best_objective": float(outcome.best_objective),
-                "best_feasible": bool(outcome.best_feasible),
-                "best_detail": best_detail,
-            },
-            native=outcome,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Streamed constructors (chunked execution, possibly reduced)
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def _from_stream(
-        cls, kind: str, spec: StudySpec, stream: StreamResult, fields: Tuple[str, ...]
-    ) -> "StudyResult":
-        if stream.fields is not None:
-            arrays = {name: stream.fields[name] for name in fields}
-        else:
-            arrays = dict(stream.series)
-            if stream.times is not None:
-                arrays["times"] = stream.times
-            arrays["block_temperature_max"] = stream.block_temperature_max
-        return cls(
-            kind=kind,
-            spec=spec,
-            arrays=arrays,
-            metadata={
-                "block_names": list(stream.block_names),
-                "streaming": _streaming_metadata(stream),
-            },
-            native=stream,
-        )
+        return cls._pack(spec, outcome, problem)
 
     @classmethod
     def from_steady_stream(cls, spec: StudySpec, stream: StreamResult) -> "StudyResult":
-        """Wrap a streamed steady run.
+        """Wrap a streamed steady or sweep run.
 
         With retained fields (in RAM or memmapped) the arrays are exactly
         those of :meth:`from_steady_batch`, bit-identical to the monolithic
         path; a reduced run instead carries the 1-D per-scenario metric
-        series plus the per-block maxima — constant-size in the grid.
+        series plus the per-block maxima — constant-size in the grid.  A
+        sweep reports the same series, in the same order and dtype, as its
+        monolithic counterpart.
         """
-        return cls._from_stream("steady", spec, stream, ScenarioBatchResult.FIELDS)
+        return cls._pack(spec, stream)
 
     @classmethod
     def from_transient_stream(
         cls, spec: StudySpec, stream: StreamResult
     ) -> "StudyResult":
         """Wrap a streamed transient run (see :meth:`from_steady_stream`)."""
-        return cls._from_stream("transient", spec, stream, TransientBatchResult.FIELDS)
-
-    @classmethod
-    def from_sweep_stream(cls, spec: StudySpec, stream: StreamResult) -> "StudyResult":
-        """Wrap a streamed steady run as a 1-D parameter sweep.
-
-        Reports the same series, in the same order and dtype, as
-        :meth:`from_sweep_batch` — the streamed values are bit-identical to
-        their monolithic counterparts.
-        """
-        return cls._from_sweep(
-            spec,
-            stream.series,
-            stream.block_names,
-            native=stream,
-            streaming=_streaming_metadata(stream),
-        )
+        return cls._pack(spec, stream)
 
     # ------------------------------------------------------------------ #
     # Common accessors
@@ -357,116 +293,27 @@ class StudyResult:
             raise KeyError(f"no array named {name!r}; known arrays: {known}")
         return self.arrays[name]
 
+    def _per_scenario(self, name: str) -> np.ndarray:
+        """One per-scenario series (``peak_temperature``, ``total_power``,
+        ``overshoot``): stored by reduced and sweep results, otherwise the
+        batch class's own property over the retained fields."""
+        if name in self.arrays:
+            return self.arrays[name]
+        batch_class = _BATCHES[self.kind]
+        fields = {field: self.arrays[field] for field in batch_class.FIELDS}
+        return getattr(batch_class(scenarios=(), block_names=(), **fields), name)
+
     def summary(self) -> Dict[str, Any]:
         """Headline metrics as plain data (the CLI report)."""
-        summary: Dict[str, Any] = {"kind": self.kind, "study": self.spec.describe()}
-        if self.kind != "thermal_map":
-            # Engine-backed kinds record which thermal backend reduced the
-            # floorplan (thermal maps are always the analytical model).
-            summary["thermal_backend"] = self.spec.thermal_backend
-        if self.kind == "steady":
-            converged = self.arrays["converged"].astype(bool)
-            summary.update(
-                scenario_count=int(converged.shape[0]),
-                block_names=list(self.metadata.get("block_names", ())),
-                converged_count=int(converged.sum()),
-                runaway_count=int((~converged).sum()),
-            )
-            if "block_temperatures" in self.arrays:
-                temperatures = self.arrays["block_temperatures"]
-                summary.update(
-                    peak_temperature_K=float(temperatures.max()),
-                    max_total_power_W=float(
-                        (self.arrays["dynamic_power"] + self.arrays["static_power"])
-                        .sum(axis=1)
-                        .max()
-                    ),
-                )
-            else:
-                # Reduced streamed result: the full field tensor was never
-                # retained; the per-scenario series carry the same maxima.
-                summary.update(
-                    peak_temperature_K=float(
-                        self.arrays["peak_temperature"].max()
-                    ),
-                    max_total_power_W=float(self.arrays["total_power"].max()),
-                )
-        elif self.kind == "transient":
-            summary.update(
-                scenario_count=int(self.arrays["runaway"].shape[0]),
-                step_count=int(self.arrays["times"].shape[0]),
-                block_names=list(self.metadata.get("block_names", ())),
-            )
-            if "block_temperatures" in self.arrays:
-                temperatures = self.arrays["block_temperatures"]
-                final = temperatures[:, -1, :]
-                overshoot = np.maximum(
-                    (temperatures - final[:, np.newaxis, :]).max(axis=(1, 2)), 0.0
-                )
-                summary.update(
-                    peak_temperature_K=float(temperatures.max()),
-                    max_overshoot_K=float(overshoot.max()),
-                )
-            else:
-                summary.update(
-                    peak_temperature_K=float(
-                        self.arrays["peak_temperature"].max()
-                    ),
-                    max_overshoot_K=float(self.arrays["overshoot"].max()),
-                )
-            summary["runaway_count"] = int(
-                self.arrays["runaway"].astype(bool).sum()
-            )
-        elif self.kind == "thermal_map":
-            temperature = self.arrays["temperature"]
-            index = np.unravel_index(int(np.argmax(temperature)), temperature.shape)
-            summary.update(
-                samples=list(temperature.shape),
-                ambient_temperature_K=float(self.metadata["ambient_temperature"]),
-                peak_temperature_K=float(temperature.max()),
-                peak_location_m=[
-                    float(self.arrays["x_coordinates"][index[0]]),
-                    float(self.arrays["y_coordinates"][index[1]]),
-                ],
-                source_temperatures_K=dict(
-                    self.metadata.get("source_temperatures", {})
-                ),
-            )
-        elif self.kind == "sweep":
-            summary.update(
-                parameter_name=self.metadata.get("parameter_name", ""),
-                point_count=int(self.arrays["values"].shape[0]),
-                series=list(self.metadata.get("series", ())),
-                peak_temperature_K=float(self.arrays["peak_temperature"].max()),
-            )
-        elif self.kind == "optimize":
-            trace = self.arrays["objective_trace"]
-            summary.update(
-                problem=self.metadata.get("problem", ""),
-                strategy=self.metadata.get("strategy", ""),
-                evaluations=int(self.metadata.get("evaluations", 0)),
-                generation_count=int(trace.shape[0]),
-                best_objective=float(self.metadata["best_objective"]),
-                best_feasible=bool(self.metadata.get("best_feasible", False)),
-                improvement=improvement(trace),
-                best=dict(self.metadata.get("best_detail", {})),
-            )
-        return summary
+        return {key: value(self) for key, value in _SUMMARY[self.kind]}
 
     # ------------------------------------------------------------------ #
     # Serialization
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data representation (``native`` is intentionally dropped)."""
-        return {
-            "format": RESULT_FORMAT,
-            "kind": self.kind,
-            "spec": self.spec.to_dict(),
-            "metadata": self.metadata,
-            "arrays": {
-                name: _encode_array(array) for name, array in self.arrays.items()
-            },
-        }
+        payload = {key: encode(self) for key, (encode, _) in _PAYLOAD.items()}
+        return {"format": RESULT_FORMAT, **payload}
 
     def to_json(self, path: Optional[Union[str, Path]] = None, indent: int = 2) -> str:
         """Serialize to JSON, optionally writing to ``path``."""
@@ -483,16 +330,7 @@ class StudyResult:
                 f"unsupported result format {data.get('format')!r} "
                 f"(this build reads format {RESULT_FORMAT})"
             )
-        return cls(
-            kind=data["kind"],
-            spec=StudySpec.from_dict(data["spec"]),
-            arrays={
-                name: _decode_array(entry)
-                for name, entry in data["arrays"].items()
-            },
-            metadata=dict(data.get("metadata", {})),
-            native=None,
-        )
+        return cls(**{key: decode(data[key]) for key, (_, decode) in _PAYLOAD.items()})
 
     @classmethod
     def from_json(cls, source: Union[str, Path]) -> "StudyResult":
@@ -547,3 +385,114 @@ class StudyResult:
             if not np.array_equal(array, other.arrays[name], equal_nan=equal_nan):
                 return False
         return True
+
+
+#: The :meth:`StudyResult.to_dict` payload after ``"format"``, in order:
+#: each key's encoder from a result and decoder into the constructor
+#: keyword of the same name.
+_PAYLOAD: Dict[str, Tuple[Callable[[StudyResult], Any], Callable[[Any], Any]]] = {
+    "kind": (lambda result: result.kind, str),
+    "spec": (lambda result: result.spec.to_dict(), StudySpec.from_dict),
+    "metadata": (lambda result: result.metadata, dict),
+    "arrays": (
+        lambda result: {name: _encode_array(a) for name, a in result.arrays.items()},
+        lambda arrays: {name: _decode_array(e) for name, e in arrays.items()},
+    ),
+}
+
+#: One :meth:`StudyResult.summary` entry: its key and its getter.
+_Entry = Tuple[str, Callable[[StudyResult], Any]]
+
+
+def _count(name: str, flag: bool) -> Callable[[StudyResult], int]:
+    """Getter: how many entries of the boolean array ``name`` are ``flag``."""
+    return lambda result: int((result.arrays[name].astype(bool) == flag).sum())
+
+
+def _series_max(name: str) -> Callable[[StudyResult], float]:
+    """Getter: the largest value of one per-scenario series."""
+    return lambda result: float(result._per_scenario(name).max())
+
+
+def _peak_location(result: StudyResult) -> list:
+    temperature = result.arrays["temperature"]
+    x, y = np.unravel_index(int(np.argmax(temperature)), temperature.shape)
+    return [
+        float(result.arrays["x_coordinates"][x]),
+        float(result.arrays["y_coordinates"][y]),
+    ]
+
+
+_KIND_AND_STUDY: Tuple[_Entry, ...] = (
+    ("kind", lambda result: result.kind),
+    ("study", lambda result: result.spec.describe()),
+)
+#: The head of every engine-backed kind: which thermal backend reduced
+#: the floorplan (thermal maps are always the analytical model).
+_HEAD = (
+    *_KIND_AND_STUDY,
+    ("thermal_backend", lambda result: result.spec.thermal_backend),
+)
+_BLOCK_NAMES: _Entry = (
+    "block_names",
+    lambda result: list(result.metadata.get("block_names", ())),
+)
+_PEAK: _Entry = ("peak_temperature_K", _series_max("peak_temperature"))
+
+#: :meth:`StudyResult.summary` of each kind: ``(key, getter)`` in report
+#: order.
+_SUMMARY: Dict[str, Tuple[_Entry, ...]] = {
+    "steady": (
+        *_HEAD,
+        ("scenario_count", lambda result: len(result.arrays["converged"])),
+        _BLOCK_NAMES,
+        ("converged_count", _count("converged", True)),
+        ("runaway_count", _count("converged", False)),
+        _PEAK,
+        ("max_total_power_W", _series_max("total_power")),
+    ),
+    "transient": (
+        *_HEAD,
+        ("scenario_count", lambda result: len(result.arrays["runaway"])),
+        ("step_count", lambda result: len(result.arrays["times"])),
+        _BLOCK_NAMES,
+        _PEAK,
+        ("max_overshoot_K", _series_max("overshoot")),
+        ("runaway_count", _count("runaway", True)),
+    ),
+    "thermal_map": (
+        *_KIND_AND_STUDY,
+        ("samples", lambda result: list(result.arrays["temperature"].shape)),
+        (
+            "ambient_temperature_K",
+            lambda result: float(result.metadata["ambient_temperature"]),
+        ),
+        (
+            "peak_temperature_K",
+            lambda result: float(result.arrays["temperature"].max()),
+        ),
+        ("peak_location_m", _peak_location),
+        (
+            "source_temperatures_K",
+            lambda result: dict(result.metadata.get("source_temperatures", {})),
+        ),
+    ),
+    "sweep": (
+        *_HEAD,
+        ("parameter_name", lambda result: result.metadata.get("parameter_name", "")),
+        ("point_count", lambda result: len(result.arrays["values"])),
+        ("series", lambda result: list(result.metadata.get("series", ()))),
+        _PEAK,
+    ),
+    "optimize": (
+        *_HEAD,
+        ("problem", lambda result: result.metadata.get("problem", "")),
+        ("strategy", lambda result: result.metadata.get("strategy", "")),
+        ("evaluations", lambda result: int(result.metadata.get("evaluations", 0))),
+        ("generation_count", lambda result: len(result.arrays["objective_trace"])),
+        ("best_objective", lambda result: float(result.metadata["best_objective"])),
+        ("best_feasible", lambda result: bool(result.metadata.get("best_feasible"))),
+        ("improvement", lambda result: improvement(result.arrays["objective_trace"])),
+        ("best", lambda result: dict(result.metadata.get("best_detail", {}))),
+    ),
+}

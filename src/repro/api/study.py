@@ -134,10 +134,8 @@ def run_study(
     if spec.kind == "transient":
         batch = engine.simulate(scenarios, **options)
         return StudyResult.from_transient_batch(spec, batch)
-    batch = engine.solve(scenarios, **options)
-    if spec.kind == "sweep":
-        return StudyResult.from_sweep_batch(spec, batch)
-    return StudyResult.from_steady_batch(spec, batch)
+    # Steady and sweep studies: the packer reads the kind off the spec.
+    return StudyResult.from_steady_batch(spec, engine.solve(scenarios, **options))
 
 
 def _run_streamed(
@@ -179,8 +177,6 @@ def _run_streamed(
         stream = stream_transient(engine, stream_source, **options)
         return StudyResult.from_transient_stream(spec, stream)
     stream = stream_steady(engine, stream_source, **options)
-    if spec.kind == "sweep":
-        return StudyResult.from_sweep_stream(spec, stream)
     return StudyResult.from_steady_stream(spec, stream)
 
 

@@ -13,8 +13,9 @@ Routes
 ``POST /run``
     Body: one serialized :class:`~repro.api.specs.StudySpec`.  Replies
     200 with a result envelope; 400 with a structured error naming the
-    offending spec field where one can be identified; 504 on a
-    per-request timeout; 503 once shutdown has begun.
+    offending spec field where one can be identified; 408 (and a closed
+    connection) when the body stalls for :data:`READ_TIMEOUT` seconds; 504
+    on a per-request timeout; 503 once shutdown has begun.
 ``GET /stats``
     Cache, batching and execution counters
     (:meth:`~repro.serve.service.StudyService.stats`).
@@ -35,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -58,6 +60,12 @@ _BYTE_COUNT = re.compile(r"[0-9]+")
 #: Bodies are read in pieces of this many bytes, so memory follows the
 #: bytes that arrive rather than the length a header claims.
 _READ_PIECE = 1 << 20
+#: Seconds a connection may stall on a read before the handler drops
+#: it: between requests on a keep-alive connection, or inside a request
+#: whose body falls short of its ``Content-Length``.  Far above any
+#: client's idle gap (closed-loop load generators re-send at once), yet it
+#: frees the handler thread a silent client would otherwise hold forever.
+READ_TIMEOUT = 300.0
 #: Deepest container nesting a request body may have.  A study spec
 #: nests five levels at most; the bound keeps every recursive walk of the
 #: parsed body (validation, hashing, encoding) far from the stack limit.
@@ -152,6 +160,8 @@ class StudyRequestHandler(BaseHTTPRequestHandler):
     # Headers and body flush as separate writes; without TCP_NODELAY the
     # second write waits out the peer's delayed ACK (~40ms per request).
     disable_nagle_algorithm = True
+    #: Socket timeout of every read and write on the connection.
+    timeout = READ_TIMEOUT
 
     def log_message(self, format: str, *args: Any) -> None:
         """Route stdlib request logging through the server's quiet flag."""
@@ -239,6 +249,11 @@ class StudyRequestHandler(BaseHTTPRequestHandler):
             try:
                 data = self._read_json()
                 envelope = service.submit(data)
+            except TimeoutError:
+                # The body stalled past READ_TIMEOUT: where the next
+                # request would start is unknown, so the connection ends.
+                self.close_connection = True
+                self._reply(408, error_body("request body read timed out"))
             except ValueError as error:
                 self._reply(400, error_body(str(error)))
             except ServeTimeoutError as error:
@@ -283,6 +298,17 @@ class StudyServer(ThreadingHTTPServer):
         super().__init__(address, StudyRequestHandler)
         self.service = service
         self.quiet = quiet
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        """Report a handler's unexpected exception on stderr.
+
+        A client that closed or reset its connection (a
+        :class:`ConnectionError` such as :class:`BrokenPipeError` or
+        :class:`ConnectionResetError`, raised by a read or by the reply
+        write) is simply gone: its connection closes without a traceback.
+        """
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
     def run(self) -> None:
         """Serve until :meth:`shutdown`, then drain and close the service."""

@@ -98,22 +98,23 @@ class ExecutionCore:
             if coalesced:
                 self._coalesced_solves += 1
 
-    def execute_group(self, specs: Sequence[StudySpec]) -> List[StudyResult]:
-        """Run one admission group; one result per spec, same order.
+    def execute_group(self, specs: Sequence[StudySpec]) -> List[Dict[str, Any]]:
+        """Run one admission group; one result envelope per spec, same order.
 
         Thermal maps and optimize searches run directly (neither compiles
         a cacheable engine up front; optimize builds its engines inside
         the search).  Singleton groups and non-coalescible kinds run
         :func:`~repro.api.study.run_study` against the cached engine.
         Multi-spec steady groups run as **one** concatenated solve whose
-        rows are sliced back per request.
+        rows are sliced back per request.  Envelopes are plain data, so a
+        pool worker's reply crosses the process boundary as it is.
         """
         first = specs[0]
         if first.kind in ("thermal_map", "optimize"):
             results = []
             for spec in specs:
                 self._count_solve(coalesced=False)
-                results.append(run_study(spec))
+                results.append(run_study(spec).envelope())
             return results
         engine, _ = self.engines.get_or_build(
             first.engine_hash(), lambda: build_engine(first)
@@ -122,7 +123,7 @@ class ExecutionCore:
             results = []
             for spec in specs:
                 self._count_solve(coalesced=False)
-                results.append(run_study(spec, engine=engine))
+                results.append(run_study(spec, engine=engine).envelope())
             return results
         # Coalesced steady solve: concatenate every member's scenarios,
         # fix the whole batch in one engine call, scatter rows back.
@@ -134,9 +135,8 @@ class ExecutionCore:
         start = 0
         for spec, scenarios in zip(specs, scenario_lists):
             stop = start + len(scenarios)
-            results.append(
-                StudyResult.from_steady_batch(spec, batch.slice_rows(start, stop))
-            )
+            result = StudyResult.from_steady_batch(spec, batch.slice_rows(start, stop))
+            results.append(result.envelope())
             start = stop
         return results
 
@@ -155,7 +155,7 @@ _WORKER_CORE: Optional[ExecutionCore] = None
 
 
 def _worker_execute_group(payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Process-pool entry point: spec dicts in, result dicts out.
+    """Process-pool entry point: spec dicts in, result envelopes out.
 
     Each worker process lazily builds one module-global
     :class:`ExecutionCore` and keeps it for its lifetime — the parent
@@ -166,7 +166,7 @@ def _worker_execute_group(payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]
     if _WORKER_CORE is None:
         _WORKER_CORE = ExecutionCore()
     specs = [StudySpec.from_dict(payload) for payload in payloads]
-    return [result.to_dict() for result in _WORKER_CORE.execute_group(specs)]
+    return _WORKER_CORE.execute_group(specs)
 
 
 class StudyService:
@@ -248,7 +248,7 @@ class StudyService:
             # cache lock or concurrent requests could never coalesce.
             body, cached = self._results.get(spec_hash)
             if not cached:
-                body = self._run(spec).envelope()
+                body = self._run(spec)
                 self._results.put(spec_hash, body)
         except Exception:
             with self._lock:
@@ -261,7 +261,7 @@ class StudyService:
         }
         return envelope
 
-    def _run(self, spec: StudySpec) -> StudyResult:
+    def _run(self, spec: StudySpec) -> Dict[str, Any]:
         """Result-cache miss path: route one spec through batching + pools."""
         if self._batcher.window > 0.0 and spec.kind in COALESCIBLE_KINDS:
             if not spec.streaming:
@@ -280,20 +280,20 @@ class StudyService:
             return None
         return self._timeout + self._batcher.window
 
-    def _execute_group(self, specs: Sequence[StudySpec]) -> List[StudyResult]:
-        """Run one admission group inline or on the owning floorplan shard."""
+    def _execute_group(self, specs: Sequence[StudySpec]) -> List[Dict[str, Any]]:
+        """Envelopes of one admission group, run inline or on the owning
+        floorplan shard."""
         if not self._pools:
             return self._core.execute_group(list(specs))
         pool = self._pools[self._shard(specs[0])]
         payloads = [spec.to_dict() for spec in specs]
         handle = pool.submit(_worker_execute_group, payloads)
         try:
-            dicts = handle.result(timeout=self._timeout)
+            return handle.result(timeout=self._timeout)
         except FutureTimeoutError:
             raise ServeTimeoutError(
                 f"request exceeded the {self._timeout:g}s timeout"
             ) from None
-        return [StudyResult.from_dict(data) for data in dicts]
 
     def _shard(self, spec: StudySpec) -> int:
         """Stable floorplan -> pool routing (warm caches per worker)."""

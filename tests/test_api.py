@@ -12,6 +12,7 @@ The serialization contract is property-tested with hypothesis:
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,6 +348,21 @@ def _minimal_spec():
     )
 
 
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+#: The shipped example studies (``examples/study_*.json``).
+EXAMPLE_STUDIES = sorted(path.stem for path in EXAMPLES.glob("study_*.json"))
+
+
+def _strict_json(text: str):
+    """``json.loads`` that refuses the ``NaN``/``Infinity`` tokens, which
+    are not JSON."""
+
+    def refuse(token: str):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestResultRoundTrip:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -393,6 +409,24 @@ class TestResultRoundTrip:
             assert loaded.equals(result)
             assert loaded.summary() == result.summary()
             assert loaded.native is None
+
+    @pytest.mark.parametrize("name", EXAMPLE_STUDIES + ["study_transient_reduced"])
+    def test_example_results_are_strict_json(self, name):
+        result = _example_study(name).run()
+        loaded = StudyResult.from_dict(_strict_json(result.to_json()))
+        assert loaded.equals(result)
+
+    def test_never_ran_away_is_null_and_older_nan_tokens_still_load(self):
+        result = _transient_study().run()
+        assert np.isnan(result.array("runaway_times")).all()
+        data = json.loads(result.to_json())
+        entry = data["arrays"]["runaway_times"]
+        assert entry["data"] == [None] * len(entry["data"])
+        # Files written before NaN became null hold the NaN token instead.
+        entry["data"] = [math.nan] * len(entry["data"])
+        older = json.dumps(data, indent=2)
+        assert "NaN" in older
+        assert StudyResult.from_json(older).equals(result)
 
     def test_result_arrays_are_read_only(self):
         result = _steady_study().run()
@@ -1273,23 +1307,116 @@ def _result_digest(result: StudyResult) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.skipif(
-    _math_kernel_digest() != GOLDEN_MATH_KERNELS,
-    reason="numpy's exp/log/arcsinh round differently here than where the "
-    "golden digests were recorded",
-)
-@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
-def test_example_study_results_match_golden_digests(name):
-    from pathlib import Path
-
-    examples = Path(__file__).resolve().parents[1] / "examples"
-    stem = name.removesuffix("_float32").removesuffix("_reduced")
-    study = Study.from_json(examples / f"{stem}.json")
+def _example_study(name: str) -> Study:
+    """An ``examples/`` study, or a variant named by a suffix: ``_float32``
+    (float32 precision), ``_reduced`` (streamed in chunks of 2 with online
+    reduction) or ``_retained`` (streamed with the full fields kept)."""
+    stem = name
+    for suffix in ("_float32", "_reduced", "_retained"):
+        stem = stem.removesuffix(suffix)
+    study = Study.from_json(EXAMPLES / f"{stem}.json")
     if name.endswith("_float32"):
         study = study.with_precision("float32")
     if name.endswith("_reduced"):
         study = study.with_streaming(chunk_size=2, reduction=True)
-    assert _result_digest(study.run()) == GOLDEN_DIGESTS[name]
+    if name.endswith("_retained"):
+        study = study.with_streaming(reduction=False)
+    return study
+
+
+golden_math = pytest.mark.skipif(
+    _math_kernel_digest() != GOLDEN_MATH_KERNELS,
+    reason="numpy's exp/log/arcsinh round differently here than where the "
+    "golden digests were recorded",
+)
+
+
+@golden_math
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_example_study_results_match_golden_digests(name):
+    assert _result_digest(_example_study(name).run()) == GOLDEN_DIGESTS[name]
+
+
+#: ``json.dumps(result.summary())`` of every example study, and of a
+#: float32, a reduced and a retained-fields variant, recorded before the
+#: per-kind summary branches became one table: the keys, their order and
+#: every value must stay as they were.  Retained fields and reduced series
+#: give the same headline numbers (``_retained`` against the reduced
+#: ``study_streamed_grid``, ``_reduced`` against ``study_transient``).
+GOLDEN_SUMMARIES = {
+    "study_backend_fdm": (
+        '{"kind": "steady", "study": "backend comparison: the steady grid reduced '
+        'by the FDM reference", "thermal_backend": "fdm", "scenario_count": 6, '
+        '"block_names": ["core", "cache", "io"], "converged_count": 6, '
+        '"runaway_count": 0, "peak_temperature_K": 324.83446405713875, '
+        '"max_total_power_W": 0.8085877111403713}'
+    ),
+    "study_optimize": (
+        '{"kind": "optimize", "study": "placement search: move the core to '
+        'minimise worst-case peak rise", "thermal_backend": "analytical", '
+        '"problem": "placement", "strategy": "coordinate", "evaluations": 48, '
+        '"generation_count": 13, "best_objective": 7.009297490333097, '
+        '"best_feasible": true, "improvement": 1004799992.9907024, "best": '
+        '{"core.x": 0.00035433593750000005, "core.y": 0.0005109375}}'
+    ),
+    "study_steady": (
+        '{"kind": "steady", "study": "steady grid: 2 nodes x 3 supplies x 2 '
+        'ambients x 2 activities", "thermal_backend": "analytical", '
+        '"scenario_count": 24, "block_names": ["core", "cache", "io"], '
+        '"converged_count": 24, "runaway_count": 0, "peak_temperature_K": '
+        '327.40275577075954, "max_total_power_W": 0.9137382874594748}'
+    ),
+    "study_steady_float32": (
+        '{"kind": "steady", "study": "steady grid: 2 nodes x 3 supplies x 2 '
+        'ambients x 2 activities", "thermal_backend": "analytical", '
+        '"scenario_count": 24, "block_names": ["core", "cache", "io"], '
+        '"converged_count": 24, "runaway_count": 0, "peak_temperature_K": '
+        '327.40277099609375, "max_total_power_W": 0.9137393310666084}'
+    ),
+    "study_streamed_grid": (
+        '{"kind": "steady", "study": "streamed grid: 5 nodes x 6 supplies x 8 '
+        'ambients x 9 activities", "thermal_backend": "analytical", '
+        '"scenario_count": 2160, "block_names": ["core", "cache", "io"], '
+        '"converged_count": 1310, "runaway_count": 850, "peak_temperature_K": '
+        '500.0, "max_total_power_W": 1253.5228039481226}'
+    ),
+    "study_streamed_grid_retained": (
+        '{"kind": "steady", "study": "streamed grid: 5 nodes x 6 supplies x 8 '
+        'ambients x 9 activities", "thermal_backend": "analytical", '
+        '"scenario_count": 2160, "block_names": ["core", "cache", "io"], '
+        '"converged_count": 1310, "runaway_count": 850, "peak_temperature_K": '
+        '500.0, "max_total_power_W": 1253.5228039481226}'
+    ),
+    "study_thermal_map": (
+        '{"kind": "thermal_map", "study": "three-block surface map at a 45 degC '
+        'heat sink", "samples": [120, 120], "ambient_temperature_K": 318.15, '
+        '"peak_temperature_K": 323.02424817022666, "peak_location_m": '
+        '[0.00047058823529411766, 0.0006302521008403362], "source_temperatures_K": '
+        '{"core": 322.8495899021377, "cache": 321.5539564763991, "io": '
+        '320.52164277326665}}'
+    ),
+    "study_transient": (
+        '{"kind": "transient", "study": "PWM transient grid at 250 Hz, 40% duty", '
+        '"thermal_backend": "analytical", "scenario_count": 6, "step_count": 91, '
+        '"block_names": ["core", "cache", "io"], "peak_temperature_K": '
+        '324.7901785502865, "max_overshoot_K": 2.3058976054580285, '
+        '"runaway_count": 0}'
+    ),
+    "study_transient_reduced": (
+        '{"kind": "transient", "study": "PWM transient grid at 250 Hz, 40% duty", '
+        '"thermal_backend": "analytical", "scenario_count": 6, "step_count": 91, '
+        '"block_names": ["core", "cache", "io"], "peak_temperature_K": '
+        '324.7901785502865, "max_overshoot_K": 2.3058976054580285, '
+        '"runaway_count": 0}'
+    ),
+}
+
+
+@golden_math
+@pytest.mark.parametrize("name", sorted(GOLDEN_SUMMARIES))
+def test_example_study_summaries_match_golden_values(name):
+    summary = _example_study(name).run().summary()
+    assert json.dumps(summary) == GOLDEN_SUMMARIES[name]
 
 
 def test_transient_workload_none_means_nominal():

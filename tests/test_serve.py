@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import socket
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -38,7 +39,7 @@ from repro.serve import (
     make_server,
     solve_key,
 )
-from repro.serve.server import _MAX_DEPTH, error_body
+from repro.serve.server import _MAX_DEPTH, StudyRequestHandler, error_body
 
 # --------------------------------------------------------------------- #
 # Fixtures: small steady specs sharing one engine configuration
@@ -60,6 +61,9 @@ def steady_spec(ambient: float = 300.0, **overrides) -> StudySpec:
     )
     options.update(overrides)
     return StudySpec(**options)
+
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 @pytest.fixture
@@ -323,6 +327,16 @@ class TestHTTPServer:
         assert stats["execution"]["solves"] == 1
         assert StudyResult.from_envelope(warm).equals(run_study(spec))
 
+    @pytest.mark.parametrize(
+        "path", sorted(EXAMPLES.glob("study_*.json")), ids=lambda path: path.stem
+    )
+    def test_every_example_reply_is_strict_json(self, http_service, path):
+        host, port, _ = http_service
+        status, body = _reply_to((host, port), _request(path.read_bytes()))
+        assert status == 200
+        served = StudyResult.from_envelope(_strict_json(body))
+        assert served.equals(run_study(StudySpec.from_json(path)))
+
     def test_malformed_spec_yields_structured_400_naming_the_field(
         self, http_service
     ):
@@ -430,7 +444,6 @@ class TestHTTPServer:
 # --------------------------------------------------------------------- #
 # Malformed requests over a raw socket
 # --------------------------------------------------------------------- #
-EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 def _request(body: bytes, length=None) -> bytes:
@@ -455,6 +468,16 @@ def _reply_to(address, request: bytes, half_close: bool = False):
         with HTTPResponse(sock) as response:
             response.begin()
             return response.status, response.read()
+
+
+def _strict_json(text: bytes):
+    """``json.loads`` that refuses the ``NaN``/``Infinity`` tokens, which
+    are not JSON."""
+
+    def refuse(token: str):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def _nested(depth: int) -> bytes:
@@ -496,6 +519,45 @@ class TestMalformedRequests:
         status, reply = _reply_to((host, port), _request(body))
         assert status == 400
         assert "UTF-8" in json.loads(reply)["error"]["message"]
+
+    def test_stalled_body_is_dropped_while_others_are_served(
+        self, http_service, monkeypatch, capfd
+    ):
+        timeout = 0.5
+        monkeypatch.setattr(StudyRequestHandler, "timeout", timeout)
+        host, port, _ = http_service
+        with socket.create_connection((host, port), timeout=30.0) as stalled:
+            stalled.sendall(_request(b'{"kind": "', length=100))
+            begin = time.monotonic()
+            # The stalled client holds one handler thread, not the server.
+            with StudyClient(host, port, timeout=30.0) as client:
+                assert client.healthz()
+            reply = b""
+            while piece := stalled.recv(1 << 16):
+                reply += piece
+            elapsed = time.monotonic() - begin
+        assert elapsed < timeout + 10.0
+        assert reply.startswith(b"HTTP/1.1 408 ")
+        assert b"timed out" in reply
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "sent",
+        [b"", _request(b'{"kind": "', length=100)],
+        ids=["before_request", "inside_body"],
+    )
+    def test_client_reset_leaves_no_traceback(self, http_service, capfd, sent):
+        host, port, _ = http_service
+        sock = socket.create_connection((host, port), timeout=30.0)
+        sock.sendall(sent)
+        time.sleep(0.2)  # the handler now waits on the request line or body
+        # Close with a reset: the handler's read, and any reply, fail.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        with StudyClient(host, port, timeout=30.0) as client:
+            assert client.healthz()
+        time.sleep(0.2)  # let the dropped handler finish
+        assert capfd.readouterr().err == ""
 
 
 @pytest.fixture(scope="module")
@@ -567,7 +629,7 @@ def test_malformed_requests_get_a_timely_200_or_4xx(fuzz_address, request):
     raw, half_close = request
     status, body = _reply_to(fuzz_address, raw, half_close=half_close)
     assert status == 200 or 400 <= status < 500, (status, body[:200])
-    json.loads(body)
+    _strict_json(body)
 
 
 # --------------------------------------------------------------------- #
