@@ -13,8 +13,9 @@ import os
 import platform
 import resource
 import sys
+import time
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -95,6 +96,40 @@ def peak_rss() -> int:
 def peak_rss_mb() -> float:
     """Process-lifetime peak resident set size [MiB] (see :func:`peak_rss`)."""
     return peak_rss() / (1024.0 * 1024.0)
+
+
+def best_of(run: Callable[[], Any], repetitions: int) -> float:
+    """Best wall time [s] of ``repetitions`` calls of ``run``
+    (scheduler-stall robust)."""
+    seconds = float("inf")
+    for _ in range(repetitions):
+        start = time.perf_counter()
+        run()
+        seconds = min(seconds, time.perf_counter() - start)
+    return seconds
+
+
+#: Interleaved trials behind a gated timing ratio: one reading of a ratio
+#: on a shared 2-vCPU machine can land on either side of its floor, so
+#: the gate reads the median of this many.
+TRIALS = 5
+
+
+def interleaved_trials(
+    first: Callable[[], float], second: Callable[[], float], trials: int = TRIALS
+) -> List[Tuple[float, float]]:
+    """``trials`` paired readings ``(first(), second())`` of two timings
+    (each callable returns its own seconds).  The side that runs first
+    alternates, so a drift in machine load does not always favour one."""
+    pairs = []
+    for trial in range(trials):
+        if trial % 2:
+            later = second()
+            pairs.append((first(), later))
+        else:
+            earlier = first()
+            pairs.append((earlier, second()))
+    return pairs
 
 
 @pytest.fixture(scope="session")

@@ -6,19 +6,19 @@ perform the identical batched fixed point; the facade additionally
 interprets the declarative spec (floorplan, technologies, scenarios), but
 compiles it once per :class:`~repro.api.study.Study` and caches the
 engine, so steady-state throughput typically *beats* re-hand-wiring the
-stack each run (negative overhead in ``BENCH_api.json``).  Timings use
-the best of several repetitions (scheduler-stall robust) and the measured
-ratio is persisted to ``BENCH_api.json`` for ``check_floors.py``.
+stack each run (negative overhead in ``BENCH_api.json``).  Each timing is
+the best of several repetitions (scheduler-stall robust); the gated ratio
+is the median of interleaved trials, each trial's ratio is persisted to
+``BENCH_api.json`` beside it for ``check_floors.py``.
 """
 
 from __future__ import annotations
 
-import json
-import time
+import statistics
 from pathlib import Path
 
 import numpy as np
-from conftest import peak_rss_mb, persist_record
+from conftest import best_of, interleaved_trials, peak_rss_mb, persist_record
 
 from repro.api import ScenarioSpec, Study
 from repro.core.cosim import ScenarioEngine, scenario_grid
@@ -74,22 +74,17 @@ def test_api_overhead():
 
     # Warm shared caches (resistance reduction keys on geometry values, so
     # both paths share one reduction) before timing either path.
-    run_direct()
-    study.run()
+    direct_batch = run_direct()
+    facade_result = study.run()
 
-    direct_seconds = float("inf")
-    for _ in range(REPETITIONS):
-        start = time.perf_counter()
-        direct_batch = run_direct()
-        direct_seconds = min(direct_seconds, time.perf_counter() - start)
-
-    facade_seconds = float("inf")
-    for _ in range(REPETITIONS):
-        start = time.perf_counter()
-        facade_result = study.run()
-        facade_seconds = min(facade_seconds, time.perf_counter() - start)
-
-    speedup = direct_seconds / facade_seconds
+    pairs = interleaved_trials(
+        lambda: best_of(run_direct, REPETITIONS),
+        lambda: best_of(study.run, REPETITIONS),
+    )
+    ratios = [direct / facade for direct, facade in pairs]
+    speedup = statistics.median(ratios)
+    direct_seconds = statistics.median(direct for direct, _ in pairs)
+    facade_seconds = statistics.median(facade for _, facade in pairs)
     overhead_percent = 100.0 * (facade_seconds / direct_seconds - 1.0)
     record = {
         "benchmark": "api_overhead",
@@ -98,6 +93,7 @@ def test_api_overhead():
         "facade": {"run_seconds": facade_seconds},
         "overhead_percent": overhead_percent,
         "speedup": speedup,
+        "trial_speedups": ratios,
         "required_speedup": REQUIRED_SPEEDUP,
         "peak_rss_mb": peak_rss_mb(),
     }
@@ -110,7 +106,7 @@ def test_api_overhead():
             ["Study facade", facade_seconds],
         ],
         title=f"facade overhead {overhead_percent:+.1f}% "
-        f"(ratio {speedup:.3f}, floor {REQUIRED_SPEEDUP})",
+        f"(ratio {speedup:.3f}, median of {len(ratios)}, floor {REQUIRED_SPEEDUP})",
     )
 
     # Same physics, bit for bit: the facade adds structure, not arithmetic.

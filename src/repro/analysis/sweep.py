@@ -286,7 +286,7 @@ def _batched_sweep(
     elif options:
         raise ValueError("backend_options require thermal_backend")
     swept = [float(value) for value in values]
-    batch = solve(engine, list(scenarios))
+    batch = solve(engine, scenarios)
     results = series(batch)
     for label, evaluator in (extra or {}).items():
         results[label] = [float(evaluator(batch, row)) for row in range(len(batch))]

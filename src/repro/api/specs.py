@@ -40,6 +40,7 @@ transient, thermal-map, sweep or optimize study —
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from collections import abc
@@ -51,8 +52,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -60,7 +59,11 @@ from typing import (
     Union,
 )
 
-from ..core.cosim.scenarios import Scenario, scenario_grid_stream
+from ..core.cosim.scenarios import (
+    Scenario,
+    ScenarioColumns,
+    ScenarioGrid,
+)
 from ..core.cosim.transient_scenarios import (
     ActivityGrid,
     ConstantActivity,
@@ -730,6 +733,7 @@ class ScenarioSpec(_Spec):
         specs = [as_technology_spec(value) for value in technologies]
         if not specs:
             raise ValueError("at least one technology is required")
+        axes = itertools.product(specs, supply_scales, ambient_temperatures, activities)
         return tuple(
             cls(
                 technology=technology,
@@ -737,10 +741,7 @@ class ScenarioSpec(_Spec):
                 ambient_temperature=ambient,
                 activity=activity,
             )
-            for technology in specs
-            for scale in tuple(supply_scales)
-            for ambient in tuple(ambient_temperatures)
-            for activity in tuple(activities)
+            for technology, scale, ambient, activity in axes
         )
 
 
@@ -755,7 +756,7 @@ class ScenarioGridSpec(_Spec):
 
     The constant-size counterpart of a tuple of :class:`ScenarioSpec`: the
     axes alone describe a 10^6+-scenario grid in a few lines of JSON, and
-    :meth:`build_stream` yields the runtime scenarios lazily — in exactly
+    :meth:`build_stream` gives the runtime grid lazily — in exactly
     the order of :func:`~repro.core.cosim.scenarios.scenario_grid` and
     :meth:`ScenarioSpec.grid` (technology x supply scale x ambient x
     activity) — so the grid never has to exist in memory at once.  The
@@ -789,23 +790,22 @@ class ScenarioGridSpec(_Spec):
             * len(self.activities)
         )
 
-    def build_stream(self) -> Iterator[Scenario]:
-        """Lazily yield the runtime scenarios in deterministic grid order.
+    def build_stream(self) -> ScenarioGrid:
+        """The lazy runtime grid, in deterministic grid order.
 
         Technology parameters are built once per axis entry and shared by
-        every scenario naming them; only the O(chunk) scenarios a consumer
-        holds at a time exist in memory.
+        every row naming them; a slice of the grid is columns computed by
+        index arithmetic, so only the O(chunk) rows a consumer holds at a
+        time exist in memory, and no scenario object is built.
         """
-        technologies = [spec.build() for spec in self.technologies]
-        activities = tuple(
-            dict(value) if isinstance(value, abc.Mapping) else value
-            for value in self.activities
-        )
-        return scenario_grid_stream(
-            technologies,
+        return ScenarioGrid(
+            [spec.build() for spec in self.technologies],
             supply_scales=self.supply_scales,
             ambient_temperatures=self.ambient_temperatures,
-            activities=activities,
+            activities=[
+                dict(value) if isinstance(value, abc.Mapping) else value
+                for value in self.activities
+            ],
         )
 
 
@@ -1344,25 +1344,21 @@ class StudySpec(_Spec):
             return self.scenario_grid.count
         return len(self.scenarios)
 
-    def build_scenarios(self) -> List[Scenario]:
-        """Materialize every scenario, sharing technology objects."""
+    def build_scenarios(self) -> Union[ScenarioGrid, ScenarioColumns]:
+        """Every scenario, sharing technology objects: the lazy grid of a
+        ``scenario_grid`` (whose slices are columns computed on the fly),
+        or the explicit ``scenarios`` built into columns."""
         if self.scenario_grid is not None:
-            return list(self.scenario_grid.build_stream())
+            return self.scenario_grid.build_stream()
         technologies: Dict[TechnologySpec, TechnologyParameters] = {}
-        return [spec.build(technologies) for spec in self.scenarios]
+        return ScenarioColumns.from_scenarios(
+            spec.build(technologies) for spec in self.scenarios
+        )
 
-    def scenario_stream(self) -> Tuple[Iterator[Scenario], int]:
-        """A lazy scenario iterator plus the known grid size.
-
-        The streaming path's counterpart of :meth:`build_scenarios`: with a
-        ``scenario_grid`` the scenarios are generated on the fly and never
-        exist in memory at once; an explicit ``scenarios`` tuple is built
-        eagerly (it is already O(n) in memory as specs).
-        """
-        if self.scenario_grid is not None:
-            return self.scenario_grid.build_stream(), self.scenario_grid.count
-        scenarios = self.build_scenarios()
-        return iter(scenarios), len(scenarios)
+    def scenario_stream(self) -> Tuple[Union[ScenarioGrid, ScenarioColumns], int]:
+        """:meth:`build_scenarios` plus its row count."""
+        source = self.build_scenarios()
+        return source, len(source)
 
     def engine_canonical_json(self) -> str:
         """Canonical JSON of the :data:`ENGINE_FIELDS` subset of the spec.

@@ -155,7 +155,7 @@ def _run_streamed(
     monolithic result arrays bit-for-bit.
     """
     if scenarios is not None:
-        stream_source, total = iter(scenarios), len(scenarios)
+        stream_source, total = scenarios, len(scenarios)
     else:
         stream_source, total = spec.scenario_stream()
     # Sweep results only ever report the reduced series, so their streamed

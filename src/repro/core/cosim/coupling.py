@@ -58,18 +58,6 @@ class BlockPowerModel(ABC):
         """Total power [W] at the given junction temperature [K]."""
         return self.breakdown(temperature).total
 
-    def total_power_batch(self, temperatures) -> np.ndarray:
-        """Total power [W] at every junction temperature of an array.
-
-        The base implementation loops the scalar path; models whose physics
-        vectorize (e.g. :class:`ScaledLeakageBlockModel` through the batched
-        leakage kernel) override it with a broadcast evaluation.
-        """
-        temperatures = np.asarray(temperatures, dtype=float)
-        return np.asarray(
-            [self.total_power(float(t)) for t in temperatures.ravel()]
-        ).reshape(temperatures.shape)
-
 
 def leakage_temperature_ratio(
     technology: TechnologyParameters,
@@ -172,12 +160,6 @@ class ScaledLeakageBlockModel(BlockPowerModel):
             static=self.static_power_at_reference * ratio,
         )
 
-    def total_power_batch(self, temperatures) -> np.ndarray:
-        """Broadcast total power through the batched leakage kernel."""
-        ratio = leakage_temperature_ratio_batch(
-            self.technology, temperatures, device_type=self.device_type
-        )
-        return self.dynamic_power + self.static_power_at_reference * ratio
 
 
 class NetlistBlockModel(BlockPowerModel):

@@ -9,9 +9,12 @@ thermal kernel batched point evaluation:
 * a :class:`Scenario` names one operating condition — a technology node, a
   supply voltage, an ambient (heat-sink) temperature and a per-block
   activity scaling;
-* :func:`scenario_grid` builds the full cross product of those axes
-  (:func:`scenario_grid_stream` yields the same grid lazily for
-  million-row sweeps);
+* :class:`ScenarioColumns` holds a batch of scenarios as columns (a node
+  index, supplies, ambients, activities) — the one form the batched
+  engines stage from; :class:`ScenarioGrid` is the lazy cross product of
+  the four axes, whose slices are columns computed by index arithmetic
+  (:func:`scenario_grid` and :func:`scenario_grid_stream` give its rows
+  as objects);
 * :class:`ScenarioEngine` evaluates *all* scenarios concurrently: block
   powers go through the vectorized leakage kernel (one broadcast Eq. 13
   evaluation per fixed-point iteration for every scenario x block pair),
@@ -72,17 +75,21 @@ from .result import CosimResult
 
 
 def _take_rows(array, rows, xp):
-    """``array[rows]`` for slice/array row selectors, portably across ``xp``."""
-    if isinstance(rows, slice) or xp is np:
+    """``array[rows]`` for slice/array row selectors, portably across ``xp``.
+
+    numpy's ``take`` is the same exact gather as fancy indexing, at a
+    fraction of its per-call cost on small batches.
+    """
+    if isinstance(rows, slice):
         return array[rows]
+    if xp is np:
+        return array.take(rows, axis=0)
     return xp.take(array, xp.asarray(rows), axis=0)
 
 
 def _keep_rows(array, keep: np.ndarray, xp):
     """``array[keep]`` for a host boolean row mask, portably across ``xp``."""
-    if xp is np:
-        return array[keep]
-    return xp.take(array, xp.asarray(np.flatnonzero(keep)), axis=0)
+    return _take_rows(array, np.flatnonzero(keep), xp)
 
 
 def _row_indices(rows, mask: np.ndarray) -> np.ndarray:
@@ -91,6 +98,31 @@ def _row_indices(rows, mask: np.ndarray) -> np.ndarray:
     if isinstance(rows, slice):
         return np.flatnonzero(mask)
     return rows[mask]
+
+
+def _check_activity(activity) -> None:
+    """Reject a negative or non-finite activity (or per-block factor).
+
+    Each chained comparison rejects NaN, +-inf and a wrong sign at once;
+    only a rejected value pays for the finite check that names it.
+    """
+    if isinstance(activity, abc.Mapping):
+        for name, value in activity.items():
+            if not 0.0 <= value < math.inf:
+                require_finite(**{f"activity[{name!r}]": value})
+                raise ValueError("activity factors must be non-negative")
+    elif not 0.0 <= activity < math.inf:
+        require_finite(activity=activity)
+        raise ValueError("activity must be non-negative")
+
+
+def _activity_row(
+    activity: Union[float, Mapping[str, float]], block_names: Sequence[str]
+) -> List[float]:
+    """The activity factor of each named block (1.0 where unmapped)."""
+    if isinstance(activity, abc.Mapping):
+        return [float(activity.get(name, 1.0)) for name in block_names]
+    return [float(activity)] * len(block_names)
 
 
 @dataclass(frozen=True)
@@ -120,9 +152,6 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self) -> None:
-        # Each chained comparison rejects NaN, +-inf and a wrong sign at
-        # once (grids build one Scenario per row); only a rejected value
-        # pays for the finite check that names it.
         supply, ambient = self.supply_voltage, self.ambient_temperature
         if supply is not None and not 0.0 < supply < math.inf:
             require_finite(supply_voltage=supply)
@@ -130,14 +159,7 @@ class Scenario:
         if ambient is not None and not 0.0 < ambient < math.inf:
             require_finite(ambient_temperature=ambient)
             raise ValueError("ambient_temperature must be positive (Kelvin)")
-        if isinstance(self.activity, abc.Mapping):
-            for name, value in self.activity.items():
-                if not 0.0 <= value < math.inf:
-                    require_finite(**{f"activity[{name!r}]": value})
-                    raise ValueError("activity factors must be non-negative")
-        elif not 0.0 <= self.activity < math.inf:
-            require_finite(activity=self.activity)
-            raise ValueError("activity must be non-negative")
+        _check_activity(self.activity)
 
     @property
     def vdd(self) -> float:
@@ -160,9 +182,7 @@ class Scenario:
 
     def activity_factor(self, block_name: str) -> float:
         """Dynamic-power scaling of one block (1.0 when unspecified)."""
-        if isinstance(self.activity, abc.Mapping):
-            return float(self.activity.get(block_name, 1.0))
-        return float(self.activity)
+        return _activity_row(self.activity, (block_name,))[0]
 
     def describe(self) -> str:
         """Human-readable scenario name."""
@@ -174,20 +194,131 @@ class Scenario:
         )
 
 
-def scenario_grid_stream(
-    technologies: Sequence[TechnologyParameters],
-    supply_scales: Iterable[float] = (1.0,),
-    ambient_temperatures: Iterable[Optional[float]] = (None,),
-    activities: Iterable[Union[float, Mapping[str, float]]] = (1.0,),
-) -> Iterator[Scenario]:
+#: A ``None`` supply or ambient (the node's default) as a column value.
+_DEFAULT = math.nan
+
+
+def _column(values: Iterable[Optional[float]]) -> np.ndarray:
+    return np.asarray([_DEFAULT if v is None else v for v in values], dtype=float)
+
+
+class ScenarioColumns:
+    """Scenario rows as columns: the one form the batched engines stage from.
+
+    Row ``i`` is ``Scenario(technologies[node[i]], supply_voltage[i],
+    ambient_temperature[i], activities[activity_index[i]], labels[i])``,
+    NaN standing for a ``None`` supply or ambient.  ``vdd``,
+    ``supply_scale`` and ``ambient`` resolve the defaults with the
+    floating-point operations of the :class:`Scenario` properties, so a
+    grid row keeps the ``(s * Vdd) / Vdd`` supply round trip.  The columns
+    read as a sequence of scenarios: ``len``, ``[i]`` (a :class:`Scenario`
+    built on demand) and ``[a:b]`` (columns again).
+    """
+
+    def __init__(
+        self,
+        technologies: Sequence[TechnologyParameters],
+        node: np.ndarray,
+        supply_voltage: np.ndarray,
+        ambient_temperature: np.ndarray,
+        activities: Sequence[Union[float, Mapping[str, float]]],
+        activity_index: np.ndarray,
+        labels: Optional[Sequence[str]] = None,
+    ) -> None:
+        self.technologies = tuple(technologies)
+        self.node = node
+        self.supply_voltage = supply_voltage
+        self.ambient_temperature = ambient_temperature
+        self.activities = tuple(activities)
+        self.activity_index = activity_index
+        self.labels = labels
+        nominal = np.asarray([t.vdd for t in self.technologies])[node]
+        self.vdd = np.where(np.isnan(supply_voltage), nominal, supply_voltage)
+        self.supply_scale = self.vdd / nominal
+        defaults = [t.thermal.ambient_temperature for t in self.technologies]
+        self.ambient = np.where(
+            np.isnan(ambient_temperature), np.take(defaults, node), ambient_temperature
+        )
+
+    @classmethod
+    def from_scenarios(cls, scenarios) -> "ScenarioColumns":
+        """Columns of any scenario source: columns pass through, a grid is
+        sliced whole, scenario objects convert once (nodes shared by
+        identity)."""
+        if isinstance(scenarios, ScenarioColumns):
+            return scenarios
+        if isinstance(scenarios, ScenarioGrid):
+            return scenarios[:]
+        scenarios = tuple(scenarios)
+        technologies: Dict[int, TechnologyParameters] = {}
+        for scenario in scenarios:
+            technologies.setdefault(id(scenario.technology), scenario.technology)
+        nodes = {key: index for index, key in enumerate(technologies)}
+        labels = tuple(s.label for s in scenarios)
+        return cls(
+            list(technologies.values()),
+            np.asarray([nodes[id(s.technology)] for s in scenarios], dtype=np.intp),
+            _column([s.supply_voltage for s in scenarios]),
+            _column([s.ambient_temperature for s in scenarios]),
+            [s.activity for s in scenarios],
+            np.arange(len(scenarios)),
+            labels if any(labels) else None,
+        )
+
+    def __len__(self) -> int:
+        return len(self.node)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ScenarioColumns(
+                self.technologies,
+                self.node[index],
+                self.supply_voltage[index],
+                self.ambient_temperature[index],
+                self.activities,
+                self.activity_index[index],
+                None if self.labels is None else self.labels[index],
+            )
+        row = range(len(self))[index]
+        return next(iter(self[row : row + 1]))
+
+    def __iter__(self) -> Iterator[Scenario]:
+        columns = (
+            self.node.tolist(),
+            self.supply_voltage.tolist(),
+            self.ambient_temperature.tolist(),
+            self.activity_index.tolist(),
+            self.labels or [""] * len(self),
+        )
+        for node, supply, ambient, activity, label in zip(*columns):
+            yield Scenario(
+                self.technologies[node],
+                None if math.isnan(supply) else supply,
+                None if math.isnan(ambient) else ambient,
+                self.activities[activity],
+                label,
+            )
+
+    def activity_matrix(self, block_names: Sequence[str]) -> np.ndarray:
+        """``(rows, blocks)`` activity factors: one row per activity of the
+        table (per activity in use, when the table outgrows the rows),
+        fanned out by index."""
+        used, index = range(len(self.activities)), self.activity_index
+        if len(used) > len(self):
+            used, index = np.unique(index, return_inverse=True)
+        table = [_activity_row(self.activities[entry], block_names) for entry in used]
+        table = np.asarray(table, dtype=float).reshape(len(used), len(block_names))
+        return table[index]
+
+
+class ScenarioGrid:
     """Lazy cross product of the four scenario axes, in deterministic order.
 
-    Yields the exact scenarios :func:`scenario_grid` would return, one at a
-    time, so million-row grids never exist as a list: the streaming
-    execution path (:mod:`repro.core.cosim.streaming`) pulls fixed-size
-    chunks straight off this iterator.  Axis validation happens eagerly —
-    before the first scenario is requested — and one-shot axis iterators
-    are materialized up front so the nested re-iteration is safe.
+    Rows run technology x supply scale x ambient x activity, the last axis
+    fastest.  ``grid[a:b]`` computes the rows' :class:`ScenarioColumns` by
+    index arithmetic over the axis lengths, so a streamed grid never exists
+    at once and never builds a :class:`Scenario`; ``[i]`` and iteration
+    give scenario objects.  The axes are validated here, by name.
 
     Parameters
     ----------
@@ -201,30 +332,76 @@ def scenario_grid_stream(
     activities:
         Per-scenario activity scalings (scalar or per-block mapping).
     """
-    technologies = tuple(technologies)
-    if not technologies:
-        raise ValueError("at least one technology is required")
-    supply_scales = tuple(supply_scales)
-    ambient_temperatures = tuple(ambient_temperatures)
-    activities = tuple(activities)
-    for scale in supply_scales:
-        require_finite(supply_scales=scale)
-    for ambient in ambient_temperatures:
-        require_finite(ambient_temperatures=ambient)
 
-    def generate() -> Iterator[Scenario]:
-        for technology in technologies:
-            for scale in supply_scales:
-                for ambient in ambient_temperatures:
-                    for activity in activities:
-                        yield Scenario(
-                            technology=technology,
-                            supply_voltage=scale * technology.vdd,
-                            ambient_temperature=ambient,
-                            activity=activity,
-                        )
+    def __init__(
+        self,
+        technologies: Sequence[TechnologyParameters],
+        supply_scales: Iterable[float] = (1.0,),
+        ambient_temperatures: Iterable[Optional[float]] = (None,),
+        activities: Iterable[Union[float, Mapping[str, float]]] = (1.0,),
+    ) -> None:
+        self.technologies = tuple(technologies)
+        if not self.technologies:
+            raise ValueError("at least one technology is required")
+        scales, ambients = tuple(supply_scales), tuple(ambient_temperatures)
+        self.activities = tuple(activities)
+        for scale in scales:
+            if not 0.0 < scale < math.inf:
+                require_finite(supply_scales=scale)
+                raise ValueError("supply_scales must be positive")
+        for ambient in ambients:
+            if ambient is not None and not 0.0 < ambient < math.inf:
+                require_finite(ambient_temperatures=ambient)
+                raise ValueError("ambient_temperatures must be positive (Kelvin)")
+        for activity in self.activities:
+            _check_activity(activity)
+        self._scales = np.asarray(scales, dtype=float)
+        self._ambients = _column(ambients)
+        self._nominal = np.asarray([t.vdd for t in self.technologies])
+        self._shape = (
+            len(self.technologies),
+            len(scales),
+            len(ambients),
+            len(self.activities),
+        )
 
-    return generate()
+    def __len__(self) -> int:
+        return math.prod(self._shape)
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        if isinstance(rows, int):
+            return next(iter(self[rows : rows + 1]))
+        _, scales, ambients, activities = self._shape
+        rows = np.arange(rows.start, rows.stop, rows.step)
+        rows, activity = np.divmod(rows, activities)
+        rows, ambient = np.divmod(rows, ambients)
+        node, scale = np.divmod(rows, scales)
+        return ScenarioColumns(
+            self.technologies,
+            node,
+            self._scales[scale] * self._nominal[node],
+            self._ambients[ambient],
+            self.activities,
+            activity,
+        )
+
+    def __iter__(self) -> Iterator[Scenario]:
+        for start in range(0, len(self), 4096):
+            yield from self[start : start + 4096]
+
+
+def scenario_grid_stream(
+    technologies: Sequence[TechnologyParameters],
+    supply_scales: Iterable[float] = (1.0,),
+    ambient_temperatures: Iterable[Optional[float]] = (None,),
+    activities: Iterable[Union[float, Mapping[str, float]]] = (1.0,),
+) -> Iterator[Scenario]:
+    """The rows of :class:`ScenarioGrid` as a lazy scenario iterator (axes
+    validated eagerly); chunked runs should slice the grid itself."""
+    return iter(
+        ScenarioGrid(technologies, supply_scales, ambient_temperatures, activities)
+    )
 
 
 def scenario_grid(
@@ -233,19 +410,9 @@ def scenario_grid(
     ambient_temperatures: Iterable[Optional[float]] = (None,),
     activities: Iterable[Union[float, Mapping[str, float]]] = (1.0,),
 ) -> List[Scenario]:
-    """Cross product of the four scenario axes, as a list.
-
-    Delegates to :func:`scenario_grid_stream` (same ordering, same
-    validation) and materializes the result — use the stream directly when
-    the grid is too large to hold.
-    """
+    """The rows of :class:`ScenarioGrid`, as a list of scenarios."""
     return list(
-        scenario_grid_stream(
-            technologies,
-            supply_scales=supply_scales,
-            ambient_temperatures=ambient_temperatures,
-            activities=activities,
-        )
+        ScenarioGrid(technologies, supply_scales, ambient_temperatures, activities)
     )
 
 
@@ -261,16 +428,41 @@ class ScenarioPhysics:
     so the two paths scale supply, activity and leakage with the *same*
     floating-point operations.
 
+    Staging reads :class:`ScenarioColumns` only (explicit scenario lists
+    convert once): constants that depend on the node alone are computed
+    once per node and fanned out by the node index, and conductivity once
+    per distinct (node, ambient) pair.
+
     Array attributes are indexed ``[scenario]`` or ``[scenario, block]``
     with blocks in :attr:`ScenarioEngine.block_names` order.
     """
 
-    def __init__(self, engine: "ScenarioEngine", scenarios: Sequence[Scenario]):
-        scenarios = tuple(scenarios)
-        if not scenarios:
+    #: The per-row arrays the solvers read: cast once to the working
+    #: policy, and compacted to the still-active rows by :meth:`_compacted`.
+    _ROW_ARRAYS = (
+        "ambient",
+        "conductivity",
+        "heat_sink",
+        "dynamic",
+        "static_ref",
+        "_reference",
+        "_vt0",
+        "_kt",
+        "_ideality",
+        "_prefactor_base",
+        "_cold",
+    )
+
+    def __init__(
+        self,
+        engine: "ScenarioEngine",
+        scenarios: Union[ScenarioColumns, ScenarioGrid, Iterable[Scenario]],
+    ):
+        columns = ScenarioColumns.from_scenarios(scenarios)
+        if not len(columns):
             raise ValueError("at least one scenario is required")
-        self.scenarios = scenarios
-        count = len(scenarios)
+        self.scenarios = columns
+        count = len(columns)
         blocks = len(engine.block_names)
         self.count = count
         self.blocks = blocks
@@ -285,55 +477,25 @@ class ScenarioPhysics:
         self._unit_matrix = engine._unit_matrix
         self._unit_matrix_host = engine._unit_matrix_host
 
-        # Grids repeat a handful of technology nodes across hundreds of
-        # scenarios; per-node constants are computed once per distinct node
-        # and fanned out by index.
-        node_index: Dict[int, int] = {}
-        nodes: List[TechnologyParameters] = []
-        node_of = np.empty(count, dtype=int)
-        for row, scenario in enumerate(scenarios):
-            key = id(scenario.technology)
-            if key not in node_index:
-                node_index[key] = len(nodes)
-                nodes.append(scenario.technology)
-            node_of[row] = node_index[key]
-
-        self.ambient = np.asarray([s.ambient for s in scenarios])
-        conductivity_cache: Dict[Tuple[int, float], float] = {}
-        for scenario in scenarios:
-            key = (id(scenario.technology), scenario.ambient)
-            if key not in conductivity_cache:
-                conductivity_cache[key] = (
-                    scenario.technology.thermal.silicon.conductivity_at(
-                        scenario.ambient
-                    )
-                )
-        self.conductivity = np.asarray(
-            [conductivity_cache[(id(s.technology), s.ambient)] for s in scenarios]
-        )
-        self.heat_sink = np.asarray(
-            [t.thermal.heat_sink_resistance for t in nodes]
-        )[node_of]
-        self.volumetric_heat_capacity = np.asarray(
+        nodes = columns.technologies
+        node_of = self._node_of = columns.node
+        self.ambient = columns.ambient
+        self.conductivity = np.empty(count)
+        for index in np.unique(node_of):
+            rows = node_of == index
+            ambients, inverse = np.unique(self.ambient[rows], return_inverse=True)
+            silicon = nodes[index].thermal.silicon
+            values = [silicon.conductivity_at(float(value)) for value in ambients]
+            self.conductivity[rows] = np.asarray(values, dtype=float)[inverse]
+        self.heat_sink = self._per_node([t.thermal.heat_sink_resistance for t in nodes])
+        self.volumetric_heat_capacity = self._per_node(
             [t.thermal.silicon.volumetric_heat_capacity for t in nodes]
-        )[node_of]
-        self._reference = np.asarray([t.reference_temperature for t in nodes])[
-            node_of, np.newaxis
-        ]
-        self._nodes = nodes
-        self._node_of = node_of
-        self._device_type = engine.device_type
+        )
 
         # Supply / activity scalings — the same floating-point operations,
         # in the same order, as :meth:`ScenarioEngine.scenario_block_powers`.
-        scale = np.asarray([s.supply_scale for s in scenarios])
-        activity = np.empty((count, blocks))
-        for row, scenario in enumerate(scenarios):
-            if isinstance(scenario.activity, abc.Mapping):
-                for column, name in enumerate(engine.block_names):
-                    activity[row, column] = scenario.activity_factor(name)
-            else:
-                activity[row, :] = float(scenario.activity)
+        scale = columns.supply_scale
+        activity = columns.activity_matrix(engine.block_names)
         dynamic_ref = np.asarray(
             [engine.dynamic_powers[name] for name in engine.block_names]
         )
@@ -343,6 +505,30 @@ class ScenarioPhysics:
         self.dynamic = dynamic_ref * ((scale * scale)[:, np.newaxis] * activity)
         self.static_ref = static_base * scale[:, np.newaxis]
 
+        # Eq. 13 pieces hoisted out of the iteration.  The denominator of
+        # the leakage temperature ratio is temperature-independent, so it
+        # is evaluated once through the kernel — once per node, every
+        # operation being elementwise — and fanned out to the rows; the
+        # per-step numerator is inlined in :meth:`static_powers` with the
+        # identical arithmetic (at VGS = 0 and VDS = Vdd the body and DIBL
+        # terms of Eq. 2 are exact float zeros, so dropping them preserves
+        # bit-level parity with the scalar path).
+        devices = [t.device(engine.device_type) for t in nodes]
+        kernel_devices = leakage_kernel.DeviceArray.from_devices(devices)
+        width = np.asarray([d.nominal_width for d in devices])
+        vdd = np.asarray([t.vdd for t in nodes])
+        reference = np.asarray([t.reference_temperature for t in nodes])
+        cold = leakage_kernel.single_device_off_current(
+            kernel_devices, width, vdd, reference, reference
+        )
+        prefactor = (width / kernel_devices.channel_length) * kernel_devices.i0
+        self._reference = self._per_node(reference, wide=True)
+        self._cold = self._per_node(cold, wide=True)
+        self._prefactor_base = self._per_node(prefactor, wide=True)
+        self._vt0 = self._per_node(kernel_devices.vt0, wide=True)
+        self._kt = self._per_node(kernel_devices.kt, wide=True)
+        self._ideality = self._per_node(kernel_devices.n, wide=True)
+
         # Host (numpy float64) views survive for consumers that stay on
         # the host whatever the policy — the transient tau derivation, the
         # runaway-ceiling validation, scalar bookkeeping.  On the default
@@ -350,17 +536,20 @@ class ScenarioPhysics:
         self.ambient_host = self.ambient
         self.conductivity_host = self.conductivity
         self.volumetric_heat_capacity_host = self.volumetric_heat_capacity
-        self._reference_host = self._reference
         self.ambient_ceiling = float(np.max(self.ambient_host))
-        if not self._default_policy:
-            self.ambient = self.cast(self.ambient)
-            self.conductivity = self.cast(self.conductivity)
-            self.heat_sink = self.cast(self.heat_sink)
-            self._reference = self.cast(self._reference)
-            self.dynamic = self.cast(self.dynamic)
-            self.static_ref = self.cast(self.static_ref)
+        for name in self._ROW_ARRAYS:
+            setattr(self, name, self.cast(getattr(self, name)))
 
-        self._leakage_ready = False
+    def _per_node(self, values, wide: bool = False) -> np.ndarray:
+        """One value per node, fanned out to the rows by the node index.
+
+        ``wide`` fans out to ``(rows, blocks)``, so that the elementwise
+        operations of :meth:`static_powers` meet no broadcast (a
+        broadcast operand costs several times a same-shape one on small
+        batches; the values, and so the results, are the same).
+        """
+        values = np.asarray(values, dtype=float)[self._node_of]
+        return values[:, np.newaxis].repeat(self.blocks, axis=1) if wide else values
 
     def cast(self, array):
         """``array`` under the engine's namespace/precision policy.
@@ -373,42 +562,20 @@ class ScenarioPhysics:
             return array
         return self.xp.asarray(array, dtype=self.dtype)
 
-    def _ensure_leakage_constants(self) -> None:
-        """Eq. 13 pieces hoisted out of the iteration, computed on demand.
+    def _compacted(self, kept: np.ndarray) -> "ScenarioPhysics":
+        """A physics holding only the constants of the rows ``kept`` (host
+        indices into this batch).
 
-        The denominator of the leakage temperature ratio is
-        temperature-independent, so it is evaluated once through the
-        kernel; the per-step numerator is inlined in :meth:`static_powers`
-        with the identical arithmetic (at VGS = 0 and VDS = Vdd the body
-        and DIBL terms of Eq. 2 are exact float zeros, so dropping them
-        preserves bit-level parity with the scalar path).  Lazy so that
-        consumers needing only the thermal constants (e.g. the transient
-        engine's tau derivation) skip the kernel evaluation entirely.
+        The fixed point calls this only on iterations where rows settle,
+        so its per-row constants are gathered once per settling event
+        rather than on every iteration.  Gathers are exact copies.
         """
-        if self._leakage_ready:
-            return
-        count = self.count
-        node_of = self._node_of
-        node_devices = [t.device(self._device_type) for t in self._nodes]
-        devices = (
-            leakage_kernel.DeviceArray.from_devices(node_devices)
-            .take(node_of)
-            .reshape((count, 1))
-        )
-        width = np.asarray([d.nominal_width for d in node_devices])[node_of, np.newaxis]
-        vdd = np.asarray([t.vdd for t in self._nodes])[node_of, np.newaxis]
-        self._cold = self.cast(
-            leakage_kernel.single_device_off_current(
-                devices, width, vdd, self._reference_host, self._reference_host
-            )
-        )
-        self._prefactor_base = self.cast(
-            (width / devices.channel_length) * devices.i0
-        )
-        self._vt0 = self.cast(devices.vt0.reshape((count, 1)))
-        self._kt = self.cast(devices.kt.reshape((count, 1)))
-        self._ideality = self.cast(devices.n.reshape((count, 1)))
-        self._leakage_ready = True
+        held = object.__new__(ScenarioPhysics)
+        held.__dict__.update(self.__dict__)
+        for name in self._ROW_ARRAYS:
+            setattr(held, name, _take_rows(getattr(self, name), kept, self.xp))
+        held.count = len(kept)
+        return held
 
     def static_powers(self, temperatures, rows):
         """Static power [W] of the given scenario rows at ``temperatures``.
@@ -425,7 +592,6 @@ class ScenarioPhysics:
         results equal the plain expression ``static_ref * (prefactor *
         (T/T_ref)^2 * exp(...) / cold)`` bit for bit.
         """
-        self._ensure_leakage_constants()
         xp = self.xp
         reference = _take_rows(self._reference, rows, xp)
         # -Vth(T) = -(vt0 - kt * (T - T_ref)), built as 0.0 - Vth to
@@ -496,7 +662,7 @@ class ScenarioBatchResult:
         "iteration_counts",
     )
 
-    scenarios: Tuple[Scenario, ...]
+    scenarios: ScenarioColumns
     block_names: Tuple[str, ...]
     block_temperatures: np.ndarray
     dynamic_power: np.ndarray
@@ -653,12 +819,12 @@ def solve_fixed_point(
     scenario row's trajectory is independent of its neighbors, so chunked
     reductions are bit-identical to the monolithic result by construction.
 
-    The batch iterates on the still-active rows only.  Until the first row
-    settles every row is active and the per-scenario constants are
-    selected with ``slice(None)`` (no gather); afterwards settled rows are
-    recorded on the host and compacted out of the state with a boolean
-    mask.  Bookkeeping (convergence flags, iteration counts) stays on the
-    host in numpy.
+    The batch iterates on the still-active rows only.  On an iteration
+    where rows settle, they are recorded on the host and compacted out of
+    the state *and* of the per-row constants (a compacted
+    :class:`ScenarioPhysics`) with one index gather; every other iteration
+    reads the constants whole, with no gather.  Bookkeeping (convergence
+    flags, iteration counts) stays on the host in numpy.
 
     Returns ``(block_temperatures, static_power, converged,
     iteration_counts)`` as host numpy arrays (temperatures and powers in
@@ -670,7 +836,6 @@ def solve_fixed_point(
     xp = physics.xp
     count = physics.count
     blocks = physics.blocks
-    dynamic = physics.dynamic
 
     temperatures = np.empty((count, blocks), dtype=physics.precision.dtype_name)
     converged = np.zeros(count, dtype=bool)
@@ -680,29 +845,41 @@ def solve_fixed_point(
         xp.broadcast_to(physics.ambient[:, None], (count, blocks)), copy=True
     )
     ceiling = xp.asarray(max_temperature, dtype=physics.dtype)
-    rows = slice(None)
+    rows = np.arange(count)  # batch indices of the active rows
+    active = physics
     for index in range(max_iterations):
         # Compound assignments reuse this iteration's fresh arrays; see
         # ScenarioPhysics.static_powers for why that is exact.
-        powers = physics.static_powers(temps, rows)
-        powers += _take_rows(dynamic, rows, xp)
-        proposed = physics.steady_targets(powers, rows)
-        proposed *= damping
-        proposed += (1.0 - damping) * temps
+        powers = active.static_powers(temps, slice(None))
+        powers += active.dynamic
+        proposed = active.steady_targets(powers, slice(None))
+        if damping != 1.0:
+            # Undamped, both steps are exact identities on these positive
+            # temperatures (x * 1.0 and x + 0.0 * t), so they are skipped.
+            proposed *= damping
+            proposed += (1.0 - damping) * temps
         proposed = xp.minimum(proposed, ceiling)
-        change = to_numpy(xp.max(xp.abs(proposed - temps), axis=1))
-        iteration_counts[rows] += 1
+        # Largest change per row, folded column by column: max is exact in
+        # any order, and numpy reduces a short block axis slowly.
+        delta = xp.abs(proposed - temps)
+        change = delta[:, 0]
+        for column in range(1, blocks):
+            change = xp.maximum(change, delta[:, column])
+        change = to_numpy(change)
         temps = proposed
         settled = change < tolerance
         if index > 0 and settled.any():
-            settled_rows = _row_indices(rows, settled)
-            converged[settled_rows] = True
-            temperatures[settled_rows] = to_numpy(temps)[settled]
-            keep = ~settled
-            rows = _row_indices(rows, keep)
-            temps = _keep_rows(temps, keep, xp)
+            done = rows[settled]
+            converged[done] = True
+            iteration_counts[done] = index + 1
+            temperatures[done] = to_numpy(temps)[settled]
+            kept = np.flatnonzero(~settled)
+            rows = rows[kept]
+            temps = _take_rows(temps, kept, xp)
             if rows.size == 0:
                 break
+            active = active._compacted(kept)
+    iteration_counts[rows] = index + 1
     temperatures[rows] = to_numpy(temps)
 
     # Scenarios that hit the runaway ceiling report non-convergence, as
@@ -901,7 +1078,7 @@ class ScenarioEngine:
     # ------------------------------------------------------------------ #
     def solve(
         self,
-        scenarios: Sequence[Scenario],
+        scenarios: Union[ScenarioColumns, ScenarioGrid, Sequence[Scenario]],
         max_iterations: int = 50,
         tolerance: float = 0.01,
         damping: float = 1.0,
@@ -909,14 +1086,12 @@ class ScenarioEngine:
     ) -> ScenarioBatchResult:
         """Damped fixed point for every scenario, as array operations.
 
-        Parameters mirror :meth:`ElectroThermalEngine.solve`; each scenario
-        converges (and freezes) independently, so results are invariant
-        under permutation of the scenario list.  The loop itself lives in
-        :func:`solve_fixed_point`.
+        ``scenarios`` are columns, a grid, or scenario objects (converted
+        once).  Parameters mirror :meth:`ElectroThermalEngine.solve`; each
+        scenario converges (and freezes) independently, so results are
+        invariant under permutation of the scenario list.  The loop itself
+        lives in :func:`solve_fixed_point`.
         """
-        if not scenarios:
-            raise ValueError("at least one scenario is required")
-        validate_fixed_point_options(max_iterations, tolerance, damping, max_temperature)
         physics = ScenarioPhysics(self, scenarios)
         temperatures, static_power, converged, iteration_counts = solve_fixed_point(
             physics,

@@ -31,17 +31,30 @@ pins exact equality across chunk sizes.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from .scenarios import (
     Scenario,
     ScenarioBatchResult,
+    ScenarioColumns,
     ScenarioEngine,
+    ScenarioGrid,
     validate_fixed_point_options,
 )
 from .transient_scenarios import (
@@ -66,8 +79,11 @@ class ChunkPlan:
     """Fixed-size chunking of a scenario stream.
 
     One plan drives one streamed run: :meth:`chunks` slices the scenario
-    iterable into lists of at most ``chunk_size`` rows (the last chunk may
-    be shorter).  Each chunk is solved on its own, so the solver's arrays
+    source into chunks of at most ``chunk_size`` rows (the last chunk may
+    be shorter) — column slices of a
+    :class:`~repro.core.cosim.scenarios.ScenarioGrid` or
+    :class:`~repro.core.cosim.scenarios.ScenarioColumns`, lists of any
+    other iterable.  Each chunk is solved on its own, so the solver's arrays
     never exceed one chunk; they are allocated in the engine's working
     dtype (see :mod:`repro.core.backend`), so a ``precision="float32"``
     policy halves the streamed working-set memory too.  Results still
@@ -80,15 +96,14 @@ class ChunkPlan:
             raise ValueError("chunk_size must be at least 1")
         self.chunk_size = chunk_size
 
-    def chunks(self, scenarios: Iterable[Scenario]) -> Iterator[List[Scenario]]:
+    def chunks(self, scenarios: Iterable[Scenario]) -> Iterator[Sequence[Scenario]]:
         """Consecutive chunks of at most :attr:`chunk_size` scenarios."""
-        chunk: List[Scenario] = []
-        for scenario in scenarios:
-            chunk.append(scenario)
-            if len(chunk) == self.chunk_size:
-                yield chunk
-                chunk = []
-        if chunk:
+        if isinstance(scenarios, (ScenarioColumns, ScenarioGrid)):
+            for start in range(0, len(scenarios), self.chunk_size):
+                yield scenarios[start : start + self.chunk_size]
+            return
+        iterator = iter(scenarios)
+        while chunk := list(itertools.islice(iterator, self.chunk_size)):
             yield chunk
 
 
@@ -321,15 +336,10 @@ class StreamResult:
         """Hottest (sampled) junction temperature [K] over the whole grid."""
         return float(self.series["peak_temperature"].max())
 
-    @property
-    def max_total_power(self) -> float:
-        """Largest chip total power [W] over a steady grid."""
-        return float(self.series["total_power"].max())
-
 
 def _stream(
     scenarios: Iterable[Scenario],
-    solve: Callable[[List[Scenario], int], _Batch],
+    solve: Callable[[Sequence[Scenario], int], _Batch],
     reduction: _OnlineReduction,
     chunk_size: int,
     total: Optional[int],
@@ -411,9 +421,10 @@ def stream_steady(
     engine:
         The steady :class:`~repro.core.cosim.scenarios.ScenarioEngine`.
     scenarios:
-        Any scenario iterable — a list, or a lazy generator such as
-        :func:`~repro.core.cosim.scenarios.scenario_grid_stream` (the grid
-        then never exists in memory at once).
+        Any scenario iterable — a list, a lazy generator, or columns:
+        a :class:`~repro.core.cosim.scenarios.ScenarioGrid` is sliced into
+        column chunks by index arithmetic (the grid then never exists in
+        memory at once, and no scenario object is built).
     chunk_size:
         Rows solved per chunk; working memory scales with this, not with
         the grid.
@@ -434,7 +445,7 @@ def stream_steady(
     """
     validate_fixed_point_options(max_iterations, tolerance, damping, max_temperature)
 
-    def solve(chunk: List[Scenario], offset: int) -> ScenarioBatchResult:
+    def solve(chunk: Sequence[Scenario], offset: int) -> ScenarioBatchResult:
         return engine.solve(
             chunk,
             max_iterations=max_iterations,
@@ -491,7 +502,7 @@ def stream_transient(
                 "pass a sized scenario sequence or total="
             )
 
-    def solve(chunk: List[Scenario], offset: int) -> TransientBatchResult:
+    def solve(chunk: Sequence[Scenario], offset: int) -> TransientBatchResult:
         return engine.simulate(
             chunk,
             duration,

@@ -598,11 +598,6 @@ class TransientScenarioEngine:
         return self._block_names
 
     @property
-    def time_constant_overrides(self) -> dict:
-        """Per-block time-constant overrides [s] in use."""
-        return dict(self._overrides)
-
-    @property
     def thermal_backend(self) -> str:
         """Registry name of the underlying engine's thermal backend."""
         return self.engine.thermal_backend

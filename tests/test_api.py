@@ -626,6 +626,15 @@ class TestFacadeParity:
             assert built.ambient == reference.ambient
             assert built.activity_factor("core") == reference.activity_factor("core")
 
+    def test_scenario_spec_grid_accepts_one_shot_iterators(self):
+        specs = ScenarioSpec.grid(
+            ["0.18um", "0.12um"],
+            supply_scales=iter([0.9, 1.1]),
+            ambient_temperatures=iter([None, 318.15]),
+        )
+        assert len(specs) == 8
+        assert specs[4].technology == specs[7].technology != specs[0].technology
+
     def test_technologies_are_shared_across_scenarios(self):
         spec = _steady_study().spec
         scenarios = spec.build_scenarios()

@@ -11,6 +11,7 @@ permutation of the scenario order (each row's trajectory is independent).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from hypothesis import strategies as st
 
 from repro.core.cosim import (
     Scenario,
+    ScenarioColumns,
     ScenarioEngine,
+    ScenarioGrid,
+    ScenarioPhysics,
     scenario_grid,
     scenario_grid_stream,
     unit_resistance_matrix,
@@ -123,6 +127,116 @@ class TestScenario:
             activities=iter([0.5, 1.0]),
         )
         assert len(scenarios) == 2 * 2 * 2 * 2
+
+
+def _reference_grid(technologies, supply_scales, ambient_temperatures, activities):
+    """The cross product built one scenario object per row, as a nested
+    loop: the independent oracle of the columnar grid."""
+    return [
+        Scenario(
+            technology=technology,
+            supply_voltage=scale * technology.vdd,
+            ambient_temperature=ambient,
+            activity=activity,
+        )
+        for technology in technologies
+        for scale in supply_scales
+        for ambient in ambient_temperatures
+        for activity in activities
+    ]
+
+
+class TestScenarioColumns:
+    @pytest.fixture(scope="class")
+    def axes(self):
+        node = make_technology("0.18um")
+        # A node whose default ambient differs, for the None ambients.
+        warm = make_technology("70nm")
+        warm = replace(warm, thermal=replace(warm.thermal, ambient_temperature=333.15))
+        # A repeated node, None ambients, a per-block activity mapping, and
+        # a scale whose (s * Vdd) / Vdd round trip is not s at 1.8 V.
+        return dict(
+            technologies=[node, warm, node],
+            supply_scales=(0.814, 0.9, 1.1),
+            ambient_temperatures=(None, 318.15),
+            activities=(0.5, {"core": 1.5, "io": 0.25}),
+        )
+
+    def test_grid_rows_equal_the_reference_field_for_field(self, axes):
+        reference = _reference_grid(**axes)
+        columns = ScenarioGrid(**axes)[:]
+        listed = scenario_grid(**axes)
+        assert len(columns) == len(listed) == len(reference) == 36
+        for index, expected in enumerate(reference):
+            for row in (columns[index], listed[index]):
+                assert row.technology is expected.technology
+                assert row.supply_voltage.hex() == expected.supply_voltage.hex()
+                assert row.ambient_temperature == expected.ambient_temperature
+                assert row.activity == expected.activity
+                assert row.label == expected.label == ""
+            assert columns.supply_scale[index] == expected.supply_scale
+            assert columns.vdd[index] == expected.vdd
+            assert columns.ambient[index] == expected.ambient
+        assert columns.supply_scale[0] != 0.814
+        assert {columns.ambient[0], columns.ambient[12]} == {298.15, 333.15}
+
+    def test_slices_are_columns_of_the_same_rows(self, axes):
+        grid = ScenarioGrid(**axes)
+        rows = grid[:]
+        for start, stop in ((0, 7), (5, 29), (30, 36), (36, 36)):
+            window = grid[start:stop]
+            assert isinstance(window, ScenarioColumns)
+            assert list(window) == list(rows[start:stop])
+            assert np.array_equal(window.supply_scale, rows.supply_scale[start:stop])
+
+    def test_explicit_scenarios_round_trip(self):
+        technology = cmos_012um()
+        scenarios = [
+            Scenario(technology),
+            Scenario(technology, supply_voltage=1.05, label="fast"),
+            Scenario(make_technology("70nm"), ambient_temperature=330.0),
+            Scenario(technology, activity={"core": 0.25}),
+        ]
+        columns = ScenarioColumns.from_scenarios(scenarios)
+        assert len(columns) == 4
+        assert list(columns) == scenarios
+        assert columns[0].technology is columns[1].technology is technology
+        assert list(columns[1:3]) == scenarios[1:3]
+        assert [columns.vdd[i] for i in range(4)] == [s.vdd for s in scenarios]
+        assert [columns.ambient[i] for i in range(4)] == [
+            s.ambient for s in scenarios
+        ]
+
+    def test_staging_matches_the_scalar_power_scaling(self, engine, axes):
+        # The per-node fan-out stages exactly the floats the scalar oracle
+        # derives scenario by scenario.
+        reference = _reference_grid(**axes)
+        physics = ScenarioPhysics(engine, ScenarioGrid(**axes))
+        for index, scenario in enumerate(reference):
+            dynamic, static = engine.scenario_block_powers(scenario)
+            for column, name in enumerate(engine.block_names):
+                assert physics.dynamic[index, column] == dynamic[name]
+                assert physics.static_ref[index, column] == static[name]
+            silicon = scenario.technology.thermal.silicon
+            assert physics.conductivity[index] == silicon.conductivity_at(
+                scenario.ambient
+            )
+            assert physics.ambient[index] == scenario.ambient
+            thermal = scenario.technology.thermal
+            assert physics.heat_sink[index] == thermal.heat_sink_resistance
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_bad_axis_values_are_rejected_by_name(self, value):
+        technologies = [cmos_012um()]
+        for axis in ("supply_scales", "ambient_temperatures"):
+            with pytest.raises(ValueError, match=axis):
+                ScenarioGrid(technologies, **{axis: (1.0, value)})
+        if value == 0.0:  # a zero activity is a valid (idle) block
+            return
+        with pytest.raises(ValueError, match="activity"):
+            ScenarioGrid(technologies, activities=(value,))
+        with pytest.raises(ValueError, match="activity"):
+            ScenarioGrid(technologies, activities=({"core": value},))
 
 
 class TestEngineConstruction:

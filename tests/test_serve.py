@@ -190,7 +190,9 @@ class TestLRUCache:
 class TestAdmissionBatcher:
     def test_zero_window_executes_each_request_alone(self):
         groups = []
-        batcher = AdmissionBatcher(0.0, lambda items: groups.append(list(items)) or items)
+        batcher = AdmissionBatcher(
+            0.0, lambda items: groups.append(list(items)) or items
+        )
         assert batcher.submit("k", 1).result(timeout=5) == 1
         assert batcher.submit("k", 2).result(timeout=5) == 2
         assert groups == [[1], [2]]

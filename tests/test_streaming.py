@@ -12,6 +12,7 @@ the fixed sizes: any chunk size yields the same series.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +29,12 @@ from repro.api import (
     run_study,
 )
 from repro.api.cli import main as cli_main
+from repro.api.study import build_engine
 from repro.core.cosim import (
     PWMActivity,
+    Scenario,
     ScenarioEngine,
+    ScenarioGrid,
     TransientScenarioEngine,
     format_progress,
     scenario_grid,
@@ -375,6 +379,50 @@ class TestScenarioGridSpec:
         assert from_mapping == spec
         with pytest.raises(TypeError):
             as_scenario_grid_spec(42)
+
+
+# --------------------------------------------------------------------- #
+# Columnar sources: grid slices vs scenario objects
+# --------------------------------------------------------------------- #
+#: The serve ``streamed`` request shape: 5 nodes x 6 x 8 x 9 = 2160 rows.
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+STREAMED_GRID = EXAMPLES / "study_streamed_grid.json"
+
+
+class TestColumnarStreaming:
+    @pytest.fixture(scope="class")
+    def streamed(self):
+        spec = StudySpec.from_json(STREAMED_GRID)
+        grid = spec.build_scenarios()
+        assert isinstance(grid, ScenarioGrid) and len(grid) == 2160
+        return build_engine(spec), grid, list(grid)
+
+    @pytest.mark.parametrize("chunk_size", (1, 7, 256, 2160))
+    def test_columns_stream_like_scenario_objects(self, streamed, chunk_size):
+        engine, grid, scenarios = streamed
+        columnar = stream_steady(engine, grid, chunk_size=chunk_size, keep_fields=True)
+        reference = stream_steady(
+            engine, scenarios, chunk_size=chunk_size, keep_fields=True
+        )
+        assert columnar.chunk_count == reference.chunk_count
+        assert_fields_equal(columnar.fields, reference.fields)
+        assert_fields_equal(columnar.series, reference.series)
+
+    def test_reduced_grid_run_builds_no_scenario(self, monkeypatch):
+        built = []
+        original = Scenario.__post_init__
+
+        def counting(scenario):
+            built.append(scenario)
+            original(scenario)
+
+        monkeypatch.setattr(Scenario, "__post_init__", counting)
+        result = Study.from_json(STREAMED_GRID).run()
+        assert result.summary()["scenario_count"] == 2160
+        assert built == []
+        # The counter does see scenario objects where they are asked for.
+        assert len(scenario_grid([make_technology("0.12um")], (0.9, 1.0))) == 2
+        assert len(built) == 2
 
 
 # --------------------------------------------------------------------- #
