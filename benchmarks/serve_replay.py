@@ -29,7 +29,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.api import StudyResult, StudySpec, run_study
 from repro.api.specs import ScenarioSpec, TechnologySpec

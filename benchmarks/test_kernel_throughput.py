@@ -12,7 +12,6 @@ PRs.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 

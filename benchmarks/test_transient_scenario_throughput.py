@@ -14,7 +14,6 @@ two paths is asserted on that subsample, and the numbers are persisted to
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 

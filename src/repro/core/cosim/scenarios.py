@@ -74,30 +74,15 @@ from .resistance_cache import reduced_unit_matrix
 from .result import CosimResult
 
 
-def _take_rows(array, rows, xp):
-    """``array[rows]`` for slice/array row selectors, portably across ``xp``.
+def _take_rows(array, rows: np.ndarray, xp):
+    """``array[rows]`` for a host index array, portably across ``xp``.
 
     numpy's ``take`` is the same exact gather as fancy indexing, at a
     fraction of its per-call cost on small batches.
     """
-    if isinstance(rows, slice):
-        return array[rows]
     if xp is np:
         return array.take(rows, axis=0)
     return xp.take(array, xp.asarray(rows), axis=0)
-
-
-def _keep_rows(array, keep: np.ndarray, xp):
-    """``array[keep]`` for a host boolean row mask, portably across ``xp``."""
-    return _take_rows(array, np.flatnonzero(keep), xp)
-
-
-def _row_indices(rows, mask: np.ndarray) -> np.ndarray:
-    """Host indices of the ``mask``-selected rows of the selector ``rows``
-    (``slice(None)`` or an index array)."""
-    if isinstance(rows, slice):
-        return np.flatnonzero(mask)
-    return rows[mask]
 
 
 def _check_activity(activity) -> None:
@@ -433,6 +418,10 @@ class ScenarioPhysics:
     once per node and fanned out by the node index, and conductivity once
     per distinct (node, ambient) pair.
 
+    :meth:`static_powers` and :meth:`steady_targets` evaluate every row
+    of the holder; both loops drop settled rows by compacting the holder
+    (:meth:`_compacted`) on the steps where rows settle, never per call.
+
     Array attributes are indexed ``[scenario]`` or ``[scenario, block]``
     with blocks in :attr:`ScenarioEngine.block_names` order.
     """
@@ -566,9 +555,10 @@ class ScenarioPhysics:
         """A physics holding only the constants of the rows ``kept`` (host
         indices into this batch).
 
-        The fixed point calls this only on iterations where rows settle,
-        so its per-row constants are gathered once per settling event
-        rather than on every iteration.  Gathers are exact copies.
+        The fixed point and the transient integrator ask for one only on
+        steps where rows settle, so per-row constants are gathered once
+        per settling event rather than on every step.  Gathers are exact
+        copies.
         """
         held = object.__new__(ScenarioPhysics)
         held.__dict__.update(self.__dict__)
@@ -577,13 +567,13 @@ class ScenarioPhysics:
         held.count = len(kept)
         return held
 
-    def static_powers(self, temperatures, rows):
-        """Static power [W] of the given scenario rows at ``temperatures``.
+    def static_powers(self, temperatures):
+        """Static power [W] of this batch's rows at ``temperatures``.
 
-        ``rows`` selects the rows' per-scenario constants: ``slice(None)``
-        for the whole batch, or a host index array once rows have been
-        compacted away.  Every operation is elementwise, so a row's result
-        does not depend on which other rows are evaluated with it.
+        ``temperatures`` is ``(count, blocks)``, one row per row of this
+        physics (compact the physics with :meth:`_compacted`, not the
+        call).  Every operation is elementwise, so a row's result does
+        not depend on which other rows are evaluated with it.
 
         Compound assignments (the Array API's in-place operators) reuse
         the temporaries this method allocates, which keeps large batches
@@ -593,32 +583,28 @@ class ScenarioPhysics:
         (T/T_ref)^2 * exp(...) / cold)`` bit for bit.
         """
         xp = self.xp
-        reference = _take_rows(self._reference, rows, xp)
         # -Vth(T) = -(vt0 - kt * (T - T_ref)), built as 0.0 - Vth to
         # preserve the reference expression's signed-zero behavior.
-        gate = 0.0 - (
-            _take_rows(self._vt0, rows, xp)
-            - _take_rows(self._kt, rows, xp) * (temperatures - reference)
-        )
+        gate = 0.0 - (self._vt0 - self._kt * (temperatures - self._reference))
         # n * kT/q (same association as technology.constants); the
         # positivity check lives with the scenario construction.
         scratch = (BOLTZMANN * temperatures) / ELEMENTARY_CHARGE
-        scratch *= _take_rows(self._ideality, rows, xp)
+        scratch *= self._ideality
         # safe_exp(-Vth / (n kT/q)), clip+exp exactly as the kernel.
         gate /= scratch
         limit = leakage_kernel.MAX_EXPONENT
         gate = xp.exp(xp.clip(gate, -limit, limit))
         # static_ref * ((prefactor * (T / T_ref)^2) * gate / cold)
-        hot = temperatures / reference
+        hot = temperatures / self._reference
         hot *= hot
-        hot *= _take_rows(self._prefactor_base, rows, xp)
+        hot *= self._prefactor_base
         hot *= gate
-        hot /= _take_rows(self._cold, rows, xp)
-        hot *= _take_rows(self.static_ref, rows, xp)
+        hot /= self._cold
+        hot *= self.static_ref
         return hot
 
-    def steady_targets(self, powers, rows):
-        """Steady-state block temperatures [K] for the rows' ``powers``.
+    def steady_targets(self, powers):
+        """Steady-state block temperatures [K] for this batch's ``powers``.
 
         ``T_ss = T_amb + R_hs * sum(P) + R @ P`` with the cached
         unit-conductivity reduction scaled by each scenario's ``1/k``.
@@ -635,12 +621,12 @@ class ScenarioPhysics:
         xp = self.xp
         blocks = powers.shape[1]
         unit = self._unit_matrix
-        sums = _take_rows(self.heat_sink, rows, xp) * xp.sum(powers, axis=1)
+        sums = self.heat_sink * xp.sum(powers, axis=1)
         rises = powers[:, 0:1] * unit[:, 0]
         for column in range(1, blocks):
             rises += powers[:, column : column + 1] * unit[:, column]
-        rises /= _take_rows(self.conductivity, rows, xp)[:, None]
-        rises += _take_rows(self.ambient, rows, xp)[:, None] + sums[:, None]
+        rises /= self.conductivity[:, None]
+        rises += self.ambient[:, None] + sums[:, None]
         return rises
 
 
@@ -850,9 +836,9 @@ def solve_fixed_point(
     for index in range(max_iterations):
         # Compound assignments reuse this iteration's fresh arrays; see
         # ScenarioPhysics.static_powers for why that is exact.
-        powers = active.static_powers(temps, slice(None))
+        powers = active.static_powers(temps)
         powers += active.dynamic
-        proposed = active.steady_targets(powers, slice(None))
+        proposed = active.steady_targets(powers)
         if damping != 1.0:
             # Undamped, both steps are exact identities on these positive
             # temperatures (x * 1.0 and x + 0.0 * t), so they are skipped.
@@ -887,9 +873,7 @@ def solve_fixed_point(
     runaway = (temperatures >= max_temperature - 1e-9).any(axis=1)
     converged &= ~runaway
 
-    static_power = to_numpy(
-        physics.static_powers(physics.cast(temperatures), slice(None))
-    )
+    static_power = to_numpy(physics.static_powers(physics.cast(temperatures)))
     return temperatures, static_power, converged, iteration_counts
 
 

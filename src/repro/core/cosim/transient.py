@@ -222,7 +222,7 @@ class TransientElectroThermalSimulator:
         tau = np.asarray([[self._time_constants[name] for name in self._blocks]])
         models = [self.engine.block_models[name] for name in self._blocks]
 
-        def power_fn(now: float, temps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        def power_fn(now: float, temps: np.ndarray) -> np.ndarray:
             multipliers = {}
             if activity_profile is not None:
                 multipliers = dict(activity_profile(float(now)))
@@ -235,11 +235,12 @@ class TransientElectroThermalSimulator:
                 powers[0, column] = breakdown.dynamic * scale + breakdown.static
             return powers
 
-        def targets_fn(powers: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        def targets_fn(powers: np.ndarray) -> np.ndarray:
             return self._steady_targets(powers[0])[np.newaxis, :]
 
+        # One row that never settles: the evaluators are never rebound.
         arrays = integrate_relaxation(
-            times, tau, initial, power_fn, targets_fn, max_temperature
+            times, tau, initial, lambda rows: (power_fn, targets_fn), max_temperature
         )
         return TransientCosimResult(
             times=times,

@@ -37,17 +37,17 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..backend import get_namespace, to_numpy
 from .scenarios import (
     Scenario,
+    ScenarioColumns,
     ScenarioEngine,
+    ScenarioGrid,
     ScenarioPhysics,
-    _keep_rows,
-    _row_indices,
     _take_rows,
     require_finite,
 )
@@ -269,18 +269,9 @@ class TraceActivity(ActivityGrid):
         return np.unique(inside)
 
 
-#: Row selector handed to the integrator's callbacks.
-RowSelector = Union[slice, np.ndarray]
-
-#: Per-step power evaluator of the generic integrator: maps (time,
-#: temperatures of the active rows, active row selector) to block powers.
-#: The selector is ``slice(None)`` while every row is active and a host
-#: index array once settled rows have been compacted away.
-PowerEvaluator = Callable[[float, Any, RowSelector], Any]
-
-#: Steady-target evaluator: maps (powers of the active rows, active row
-#: selector) to the rows' steady-state block temperatures.
-TargetEvaluator = Callable[[Any, RowSelector], Any]
+#: ``evaluators(rows)`` -> ``(power_fn(time, temperatures), targets_fn(powers))``
+#: for the rows ``rows`` (host indices into the batch; ``None`` for all).
+Evaluators = Callable[[Optional[np.ndarray]], Tuple[Callable, Callable]]
 
 
 @dataclass(frozen=True)
@@ -301,8 +292,7 @@ def integrate_relaxation(
     times: np.ndarray,
     tau,
     initial,
-    power_fn: PowerEvaluator,
-    targets_fn: TargetEvaluator,
+    evaluators: Evaluators,
     max_temperature: float,
     settle_tolerance: Optional[float] = None,
     settle_after: float = math.inf,
@@ -324,10 +314,12 @@ def integrate_relaxation(
 
     ``tau`` and ``initial`` are ``(rows, blocks)`` arrays of one array
     namespace, which the state stays in; histories and the runaway/settle
-    bookkeeping live on the host.  Until the first row settles the
-    callbacks receive ``slice(None)`` as the row selector; afterwards the
-    state is compacted with a boolean mask and they receive the host
-    indices of the surviving rows.
+    bookkeeping live on the host.  As in
+    :func:`~repro.core.cosim.scenarios.solve_fixed_point`, only a step
+    where rows settle compacts the state and asks ``evaluators(rows)``
+    for evaluators of the surviving rows; other steps gather nothing.
+    Powers are evaluated once per step, after the update, so a frozen
+    row's last powers come from that step's evaluation.
     """
     xp = get_namespace(initial)
     host_initial = to_numpy(initial)
@@ -340,27 +332,34 @@ def integrate_relaxation(
     runaway = np.zeros(scenario_count, dtype=bool)
     runaway_times = np.full(scenario_count, np.nan)
 
+    power_fn, targets_fn = evaluators(None)
     temps = initial
+    powers = power_fn(float(times[0]), temps)
+    temperatures_history[:, 0] = host_initial
+    powers_history[:, 0] = to_numpy(powers)
     ceiling = xp.asarray(max_temperature, dtype=initial.dtype)
-    rows: RowSelector = slice(None)
-    for index, now in enumerate(times):
-        powers = power_fn(float(now), temps, rows)
-        temperatures_history[rows, index] = to_numpy(temps)
-        powers_history[rows, index] = to_numpy(powers)
-        if index == step_count - 1:
-            break
-        targets = targets_fn(powers, rows)
+    rows = np.arange(scenario_count)  # batch indices of the active rows
+    # The active rows' history rows: a slice until a row settles, since an
+    # index scatter on every step would cost more than the step's arithmetic.
+    written = slice(None)
+    for index in range(step_count - 1):
+        now = times[index]
+        targets = targets_fn(powers)
         dt = float(times[index + 1] - now)
-        decay = xp.exp((-dt) / _take_rows(tau, rows, xp))
-        updated = targets + (temps - targets) * decay
-        clipped = to_numpy(xp.any(updated > ceiling, axis=1))
-        updated = xp.minimum(updated, ceiling)
-        newly_runaway = clipped & ~runaway[rows]
+        decay = xp.exp((-dt) / tau)
+        temps = targets + (temps - targets) * decay
+        clipped = to_numpy(xp.any(temps > ceiling, axis=1))
+        temps = xp.minimum(temps, ceiling)
+        newly_runaway = clipped & ~runaway[written]
         if newly_runaway.any():
-            newly_runaway = _row_indices(rows, newly_runaway)
+            newly_runaway = rows[newly_runaway]
             runaway[newly_runaway] = True
             runaway_times[newly_runaway] = times[index + 1]
-        temps = updated
+        powers = power_fn(float(times[index + 1]), temps)
+        host_temps = to_numpy(temps)
+        host_powers = to_numpy(powers)
+        temperatures_history[written, index + 1] = host_temps
+        powers_history[written, index + 1] = host_powers
         # A row may freeze only when its distance to target was measured
         # under the final (constant) workload: the step must *start* at or
         # after the grid's last switching instant.
@@ -370,20 +369,17 @@ def integrate_relaxation(
         settled = distance < settle_tolerance
         if not settled.any():
             continue
-        frozen_rows = _row_indices(rows, settled)
-        frozen_temps = _keep_rows(temps, settled, xp)
-        frozen_powers = power_fn(float(times[index + 1]), frozen_temps, frozen_rows)
-        temperatures_history[frozen_rows, index + 1 :] = to_numpy(frozen_temps)[
-            :, np.newaxis, :
-        ]
-        powers_history[frozen_rows, index + 1 :] = to_numpy(frozen_powers)[
-            :, np.newaxis, :
-        ]
-        keep = ~settled
-        rows = _row_indices(rows, keep)
+        frozen = rows[settled]
+        temperatures_history[frozen, index + 2 :] = host_temps[settled, np.newaxis]
+        powers_history[frozen, index + 2 :] = host_powers[settled, np.newaxis]
+        kept = np.flatnonzero(~settled)
+        rows = written = rows[kept]
         if rows.size == 0:
             break
-        temps = _keep_rows(temps, keep, xp)
+        temps = _take_rows(temps, kept, xp)
+        powers = _take_rows(powers, kept, xp)
+        tau = _take_rows(tau, kept, xp)
+        power_fn, targets_fn = evaluators(rows)
 
     return IntegrationArrays(
         times=times,
@@ -414,7 +410,7 @@ class TransientBatchResult:
         "runaway_times",
     )
 
-    scenarios: Tuple[Scenario, ...]
+    scenarios: ScenarioColumns
     block_names: Tuple[str, ...]
     times: np.ndarray
     block_temperatures: np.ndarray
@@ -637,13 +633,15 @@ class TransientScenarioEngine:
             tau[:, self._block_names.index(name)] = value
         return tau
 
-    def time_constants(self, scenarios: Sequence[Scenario]) -> np.ndarray:
+    def time_constants(
+        self, scenarios: Union[ScenarioColumns, ScenarioGrid, Sequence[Scenario]]
+    ) -> np.ndarray:
         """Per-(scenario, block) thermal time constants [s] in use."""
         return self._default_time_constants(ScenarioPhysics(self.engine, scenarios))
 
     def simulate(
         self,
-        scenarios: Sequence[Scenario],
+        scenarios: Union[ScenarioColumns, ScenarioGrid, Sequence[Scenario]],
         duration: float,
         time_step: float,
         activity: Optional[ActivityGrid] = None,
@@ -659,7 +657,8 @@ class TransientScenarioEngine:
         Parameters
         ----------
         scenarios:
-            Operating conditions to integrate concurrently.
+            Operating conditions to integrate concurrently: columns, a
+            grid, or scenario objects (converted once).
         duration, time_step:
             Simulated span [s] and base integration step [s]; the
             exponential update is unconditionally stable, but coarse steps
@@ -735,28 +734,29 @@ class TransientScenarioEngine:
                 initial[:, self._block_names.index(name)] = float(value)
 
         tau = physics.cast(self._default_time_constants(physics))
-        dynamic = physics.dynamic
         xp = physics.xp
-        chunk = slice(scenario_offset, scenario_offset + physics.count)
 
-        def power_fn(now: float, temps, rows: RowSelector):
-            multipliers = np.broadcast_to(
-                np.asarray(activity.values(now), dtype=float), full_shape
-            )
-            multipliers = multipliers[
-                chunk if isinstance(rows, slice) else scenario_offset + rows
-            ]
-            scaled = _take_rows(dynamic, rows, xp) * xp.asarray(
-                multipliers, dtype=physics.dtype
-            )
-            return scaled + physics.static_powers(temps, rows)
+        def evaluators(rows: Optional[np.ndarray]):
+            if rows is None:
+                held = physics
+                chunk = slice(scenario_offset, scenario_offset + physics.count)
+            else:
+                held, chunk = physics._compacted(rows), scenario_offset + rows
+
+            def power_fn(now: float, temps):
+                multipliers = np.broadcast_to(
+                    np.asarray(activity.values(now), dtype=float), full_shape
+                )[chunk]
+                scaled = held.dynamic * xp.asarray(multipliers, dtype=physics.dtype)
+                return scaled + held.static_powers(temps)
+
+            return power_fn, held.steady_targets
 
         arrays = integrate_relaxation(
             times,
             tau,
             physics.cast(initial),
-            power_fn,
-            physics.steady_targets,
+            evaluators,
             max_temperature,
             settle_tolerance=settle_tolerance,
             settle_after=activity.constant_after,

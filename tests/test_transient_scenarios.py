@@ -11,6 +11,7 @@ PR's acceptance criterion), approach the steady-state
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -27,9 +28,12 @@ from repro.core.cosim import (
     StepActivity,
     TraceActivity,
     TransientScenarioEngine,
+    integrate_relaxation,
 )
 from repro.floorplan import three_block_floorplan
 from repro.technology import cmos_012um, make_technology
+
+from test_api import golden_math
 
 DYNAMIC = {"core": 0.22, "cache": 0.09, "io": 0.04}
 STATIC_REF = {"core": 0.045, "cache": 0.018, "io": 0.008}
@@ -226,6 +230,161 @@ class TestSteadyStateLimit:
         reference = engine.simulate(grid, **kwargs)
         gap = np.abs(compacted.block_temperatures - reference.block_temperatures).max()
         assert gap <= 2.0 * tolerance
+
+
+def _settle_activity(kind: str):
+    """Workloads over the 13 settle rows (``grid`` plus a runaway row),
+    each defined on the full grid."""
+    rng = np.random.default_rng(20)
+    if kind == "trace_3d":
+        return TraceActivity([0.0, 2e-3, 5e-3], rng.uniform(0.0, 1.2, (3, 13, 3)))
+    if kind == "constant_2d":
+        return ConstantActivity(rng.uniform(0.2, 1.0, (13, 3)))
+    return StepActivity(0.1, 1.0, np.linspace(0.5e-3, 6e-3, 13))
+
+
+#: SHA-256 of ``times``, ``block_temperatures``, ``block_powers``,
+#: ``runaway`` and ``runaway_times`` of runs in which rows settle and are
+#: compacted out (and one row runs away), recorded before the integrator
+#: compacted its physics on settle: ``(activity, precision,
+#: settle_tolerance, chunk rows or None) -> digest``.
+SETTLE_DIGESTS = {
+    ("step", "float64", 1e-3, None): (
+        "c61bb5e6f128146203527f454369a646e2e573ddd2bc32e73e1c42be93352786"
+    ),
+    ("trace_3d", "float64", 1e-4, None): (
+        "52c416c26959cdfe598970141224a75282cb926dab84e2395b6a1573753d2c99"
+    ),
+    ("constant_2d", "float64", 1e-2, None): (
+        "606f0c13415fc6cd70431c437d10c53acc9c9e181926af6ca99712d8b2f10fb5"
+    ),
+    ("step", "float32", 1e-3, None): (
+        "520ecf148f2ae394f7c3b3045bb80f804614eee0e267cc6571935d7af07bdcf6"
+    ),
+    ("step", "float64", 1e-3, 5): (
+        "c61bb5e6f128146203527f454369a646e2e573ddd2bc32e73e1c42be93352786"
+    ),
+    ("trace_3d", "float64", 1e-4, 5): (
+        "52c416c26959cdfe598970141224a75282cb926dab84e2395b6a1573753d2c99"
+    ),
+}
+
+
+class TestSettleDigests:
+    @golden_math
+    @pytest.mark.parametrize("case", sorted(SETTLE_DIGESTS, key=str), ids=str)
+    def test_settled_runs_match_their_digests(self, case, grid):
+        kind, precision, tolerance, chunk = case
+        engine = TransientScenarioEngine(
+            ScenarioEngine(
+                three_block_floorplan(), DYNAMIC, STATIC_REF, precision=precision
+            ),
+            time_constants=TAUS,
+        )
+        # The grid plus a row that runs away, as in the runaway test.
+        leaky = make_technology("25nm")
+        runaway = Scenario(
+            leaky, supply_voltage=1.4 * leaky.vdd, ambient_temperature=400.0
+        )
+        rows = grid + [runaway]
+        kwargs = dict(duration=40e-3, time_step=0.1e-3, activity=_settle_activity(kind))
+        size = chunk or len(rows)
+        batches = [
+            engine.simulate(
+                rows[start : start + size],
+                settle_tolerance=tolerance,
+                scenario_offset=start,
+                total_scenarios=len(rows),
+                **kwargs,
+            )
+            for start in range(0, len(rows), size)
+        ]
+        digest = hashlib.sha256(batches[0].times.tobytes())
+        for name in ("block_temperatures", "block_powers", "runaway", "runaway_times"):
+            digest.update(np.concatenate([getattr(b, name) for b in batches]).tobytes())
+        assert digest.hexdigest() == SETTLE_DIGESTS[case]
+        # The pin covers the settle path: rows froze, and one ran away.
+        exact = engine.simulate(rows, **kwargs)
+        temperatures = np.concatenate([b.block_temperatures for b in batches])
+        assert not np.array_equal(temperatures, exact.block_temperatures)
+        assert bool(batches[-1].runaway[-1])
+
+
+class _SpyEvaluators:
+    """Evaluators of a decoupled linear model (``P = level + (T - 300) /
+    1000``, ``T_ss = 300 + 10 P``) that record every rebinding and count
+    power evaluations."""
+
+    def __init__(self, levels):
+        self.levels = np.asarray(levels, dtype=float)
+        self.bindings = []  # (rows, power evaluations before the call)
+        self.evaluations = 0
+
+    def __call__(self, rows):
+        self.bindings.append((rows, self.evaluations))
+        levels = self.levels[slice(None) if rows is None else rows]
+
+        def power_fn(now, temps):
+            assert temps.shape[0] == levels.shape[0]
+            self.evaluations += 1
+            return levels[:, None] + (temps - 300.0) / 1000.0
+
+        return power_fn, lambda powers: 300.0 + 10.0 * powers
+
+
+class TestRowProtocol:
+    """:func:`integrate_relaxation` binds its evaluators once for the whole
+    batch and rebinds them only on steps where rows settle."""
+
+    TIMES = np.linspace(0.0, 0.05, 501)
+    #: Row 4 is too slow to settle within the run.
+    TAU = np.array([[1e-3], [2e-3], [2e-3], [3e-3], [8e-3]]).repeat(2, axis=1)
+
+    def integrate(self, settle_tolerance):
+        spy = _SpyEvaluators([1.0, 2.0, 5.0, 3.0, 4.0])
+        arrays = integrate_relaxation(
+            self.TIMES,
+            self.TAU,
+            np.full(self.TAU.shape, 300.0),
+            spy,
+            max_temperature=500.0,
+            settle_tolerance=settle_tolerance,
+            settle_after=0.0,
+        )
+        return spy, arrays
+
+    def test_binds_the_whole_batch_once_without_settling(self):
+        spy, _ = self.integrate(None)
+        assert spy.bindings == [(None, 0)]
+        assert spy.evaluations == len(self.TIMES)
+
+    def test_rebinds_only_where_rows_settle(self):
+        spy, arrays = self.integrate(1e-3)
+        assert spy.bindings[0] == (None, 0)
+        assert sum(rows is None for rows, _ in spy.bindings) == 1
+        assert len(spy.bindings) > 2
+        active = np.arange(len(self.TAU))
+        for rows, evaluations in spy.bindings[1:]:
+            # Strictly shrinking host indices into the batch.
+            assert rows.dtype.kind == "i" and rows.size < active.size
+            assert np.all(np.isin(rows, active))
+            # The frozen rows settled on the step just evaluated: their
+            # history moved into it and is constant from it on.
+            step = evaluations - 1
+            for row in np.setdiff1d(active, rows):
+                for history in (arrays.temperatures[row], arrays.powers[row]):
+                    assert np.all(history[step:] == history[step])
+                    assert np.any(history[step - 1] != history[step])
+            active = rows
+        assert active.tolist() == [4]
+        assert spy.evaluations == len(self.TIMES)
+
+    def test_frozen_histories_stay_within_the_tolerance(self):
+        _, settled = self.integrate(1e-3)
+        _, exact = self.integrate(None)
+        gap = np.abs(settled.temperatures - exact.temperatures)
+        assert 0.0 < gap.max() < 1e-3
+        assert np.array_equal(settled.temperatures[4], exact.temperatures[4])
 
 
 class TestProperties:
