@@ -42,7 +42,7 @@ import numpy as np
 
 from ..analysis.convergence import improvement
 from ..analysis.sweep import sweep_series
-from ..core.cosim.scenarios import ScenarioBatchResult
+from ..core.cosim.scenarios import ScenarioBatchResult, ScenarioColumns
 from ..core.cosim.streaming import StreamResult
 from ..core.cosim.transient_scenarios import TransientBatchResult
 from ..core.thermal.superposition import SurfaceMap
@@ -76,7 +76,9 @@ def _decode_array(data: Mapping[str, Any]) -> np.ndarray:
 def _scenario_labels(scenarios) -> Callable[[], Dict[str, Any]]:
     """The per-scenario display labels, as deferred metadata: formatting
     them would otherwise dominate small studies."""
-    return lambda: {"scenario_labels": [s.describe() for s in scenarios]}
+    return lambda: {
+        "scenario_labels": ScenarioColumns.from_scenarios(scenarios).describe()
+    }
 
 
 class StudyResult:

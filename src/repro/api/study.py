@@ -127,10 +127,10 @@ def run_study(
             time_step=spec.time_step,
             activity=spec.workload.build() if spec.workload is not None else None,
         )
-    if spec.streaming:
-        return _run_streamed(spec, engine, scenarios, progress, options)
     if scenarios is None:
         scenarios = spec.build_scenarios()
+    if spec.streaming:
+        return _run_streamed(spec, engine, scenarios, progress, options)
     if spec.kind == "transient":
         batch = engine.simulate(scenarios, **options)
         return StudyResult.from_transient_batch(spec, batch)
@@ -141,7 +141,7 @@ def run_study(
 def _run_streamed(
     spec: StudySpec,
     engine: Union[ScenarioEngine, TransientScenarioEngine],
-    scenarios: Optional[Sequence],
+    scenarios: Sequence,
     progress: Optional[ProgressCallback],
     options: Dict[str, Any],
 ) -> StudyResult:
@@ -154,10 +154,6 @@ def _run_streamed(
     them to ``memmap_path``, so a plain ``chunk_size=`` run reproduces the
     monolithic result arrays bit-for-bit.
     """
-    if scenarios is not None:
-        stream_source, total = scenarios, len(scenarios)
-    else:
-        stream_source, total = spec.scenario_stream()
     # Sweep results only ever report the reduced series, so their streamed
     # path never retains fields; steady/transient keep them unless reduced
     # away or routed to disk.
@@ -168,15 +164,14 @@ def _run_streamed(
     default_chunk = DEFAULT_TRANSIENT_CHUNK_SIZE if transient else DEFAULT_CHUNK_SIZE
     options.update(
         chunk_size=spec.chunk_size or default_chunk,
-        total=total,
         keep_fields=keep_fields,
         memmap_path=spec.memmap_path,
         progress=progress,
     )
     if transient:
-        stream = stream_transient(engine, stream_source, **options)
+        stream = stream_transient(engine, scenarios, **options)
         return StudyResult.from_transient_stream(spec, stream)
-    stream = stream_steady(engine, stream_source, **options)
+    stream = stream_steady(engine, scenarios, **options)
     return StudyResult.from_steady_stream(spec, stream)
 
 
@@ -428,10 +423,6 @@ class Study:
         """Copy of the study with a display label."""
         return Study(self._spec.replace(label=label))
 
-    def with_scenarios(self, scenarios: Iterable) -> "Study":
-        """Copy of the study over a different scenario list."""
-        return Study(self._spec.replace(scenarios=scenarios))
-
     def with_streaming(
         self,
         chunk_size: Optional[int] = None,
@@ -521,11 +512,6 @@ class Study:
     def to_json(self, path: Optional[Union[str, Path]] = None, indent: int = 2) -> str:
         """Serialize the spec, optionally writing it to ``path``."""
         return self._spec.to_json(path, indent=indent)
-
-    @classmethod
-    def from_spec(cls, spec: StudySpec) -> "Study":
-        """Wrap an existing spec."""
-        return cls(spec)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Study":

@@ -99,16 +99,6 @@ class LogicGate:
             )
         return 1 if up else 0
 
-    def truth_table(self) -> Dict[Tuple[int, ...], int]:
-        """Full truth table keyed by input tuples in declared input order."""
-        from .vectors import enumerate_vectors
-
-        table: Dict[Tuple[int, ...], int] = {}
-        for vector in enumerate_vectors(self.inputs):
-            key = tuple(vector[name] for name in self.inputs)
-            table[key] = self.evaluate(vector)
-        return table
-
     # ------------------------------------------------------------------ #
     # Structure
     # ------------------------------------------------------------------ #

@@ -13,8 +13,7 @@ thermal kernel batched point evaluation:
   index, supplies, ambients, activities) — the one form the batched
   engines stage from; :class:`ScenarioGrid` is the lazy cross product of
   the four axes, whose slices are columns computed by index arithmetic
-  (:func:`scenario_grid` and :func:`scenario_grid_stream` give its rows
-  as objects);
+  (:func:`scenario_grid` gives its rows as objects);
 * :class:`ScenarioEngine` evaluates *all* scenarios concurrently: block
   powers go through the vectorized leakage kernel (one broadcast Eq. 13
   evaluation per fixed-point iteration for every scenario x block pair),
@@ -250,6 +249,30 @@ class ScenarioColumns:
             labels if any(labels) else None,
         )
 
+    @classmethod
+    def concatenate(cls, parts: Sequence["ScenarioColumns"]) -> "ScenarioColumns":
+        """The rows of ``parts``, in order, as one set of columns: each
+        part's node and activity tables are appended and its indices offset
+        past the tables before it, so every row keeps its own values."""
+        technologies: List[TechnologyParameters] = []
+        activities: list = []
+        nodes, activity_indices = [], []
+        for part in parts:
+            nodes.append(part.node + len(technologies))
+            activity_indices.append(part.activity_index + len(activities))
+            technologies.extend(part.technologies)
+            activities.extend(part.activities)
+        labels = [label for part in parts for label in part.labels or [""] * len(part)]
+        return cls(
+            technologies,
+            np.concatenate(nodes),
+            np.concatenate([part.supply_voltage for part in parts]),
+            np.concatenate([part.ambient_temperature for part in parts]),
+            activities,
+            np.concatenate(activity_indices),
+            tuple(labels) if any(labels) else None,
+        )
+
     def __len__(self) -> int:
         return len(self.node)
 
@@ -283,6 +306,23 @@ class ScenarioColumns:
                 self.activities[activity],
                 label,
             )
+
+    def describe(self) -> List[str]:
+        """Every row's :meth:`Scenario.describe`, formatted from the columns
+        (no scenario object is built)."""
+        names = [technology.name for technology in self.technologies]
+        act = self.activities
+        columns = (
+            self.node.tolist(),
+            self.vdd.tolist(),
+            self.ambient.tolist(),
+            self.activity_index.tolist(),
+            self.labels or [""] * len(self),
+        )
+        return [
+            label or f"{names[node]}@{vdd:.2f}V/{ambient:.1f}K/act{act[index]!r}"
+            for node, vdd, ambient, index, label in zip(*columns)
+        ]
 
     def activity_matrix(self, block_names: Sequence[str]) -> np.ndarray:
         """``(rows, blocks)`` activity factors: one row per activity of the
@@ -374,19 +414,6 @@ class ScenarioGrid:
     def __iter__(self) -> Iterator[Scenario]:
         for start in range(0, len(self), 4096):
             yield from self[start : start + 4096]
-
-
-def scenario_grid_stream(
-    technologies: Sequence[TechnologyParameters],
-    supply_scales: Iterable[float] = (1.0,),
-    ambient_temperatures: Iterable[Optional[float]] = (None,),
-    activities: Iterable[Union[float, Mapping[str, float]]] = (1.0,),
-) -> Iterator[Scenario]:
-    """The rows of :class:`ScenarioGrid` as a lazy scenario iterator (axes
-    validated eagerly); chunked runs should slice the grid itself."""
-    return iter(
-        ScenarioGrid(technologies, supply_scales, ambient_temperatures, activities)
-    )
 
 
 def scenario_grid(

@@ -6,9 +6,11 @@ materialize the full ``(n_scenarios, n_blocks)`` (× ``n_steps``) tensor in
 one shot, so a 10^6–10^7-row grid swaps or OOMs long before the CPU is the
 bottleneck.  This module keeps memory flat in the grid size instead:
 
-* :class:`ChunkPlan` cuts a (possibly lazy) scenario stream into
-  fixed-size chunks, so the solver's working set scales with the chunk
-  size, not with the grid;
+* :class:`ChunkPlan` cuts one sized, columnar scenario source (a
+  :class:`~repro.core.cosim.scenarios.ScenarioGrid` or
+  :class:`~repro.core.cosim.scenarios.ScenarioColumns`) into row ranges,
+  so the solver's working set scales with the chunk size, not with the
+  grid;
 * one online reduction (:class:`OnlineSteadyReduction` /
   :class:`OnlineTransientReduction` only pick the batch kind) folds each
   chunk's ``series()`` — the batch classes' one definition of the
@@ -31,21 +33,11 @@ pins exact equality across chunk sizes.
 
 from __future__ import annotations
 
-import itertools
 import time
+from collections import abc
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,20 +66,35 @@ DEFAULT_TRANSIENT_CHUNK_SIZE = 2048
 #: A solved chunk of either engine.
 _Batch = Union[ScenarioBatchResult, TransientBatchResult]
 
+#: A sized, columnar scenario source; chunks are its row ranges.
+_Source = Union[ScenarioGrid, ScenarioColumns]
+
+
+def _columnar(scenarios: Union[_Source, Sequence[Scenario]]) -> _Source:
+    """The stream's one source: a grid or columns as given, a sequence of
+    scenario objects converted once; an unsized iterator is refused."""
+    if isinstance(scenarios, (ScenarioGrid, ScenarioColumns)):
+        return scenarios
+    if not isinstance(scenarios, abc.Sequence):
+        raise TypeError(
+            "a streamed run needs a ScenarioGrid, ScenarioColumns or a "
+            f"scenario sequence, not {type(scenarios).__name__}"
+        )
+    return ScenarioColumns.from_scenarios(scenarios)
+
 
 class ChunkPlan:
-    """Fixed-size chunking of a scenario stream.
+    """Fixed-size chunking of a columnar scenario source.
 
-    One plan drives one streamed run: :meth:`chunks` slices the scenario
-    source into chunks of at most ``chunk_size`` rows (the last chunk may
-    be shorter) — column slices of a
+    One plan drives one streamed run: :meth:`chunks` slices a
     :class:`~repro.core.cosim.scenarios.ScenarioGrid` or
-    :class:`~repro.core.cosim.scenarios.ScenarioColumns`, lists of any
-    other iterable.  Each chunk is solved on its own, so the solver's arrays
-    never exceed one chunk; they are allocated in the engine's working
-    dtype (see :mod:`repro.core.backend`), so a ``precision="float32"``
-    policy halves the streamed working-set memory too.  Results still
-    leave every chunk as host ``float64`` arrays.
+    :class:`~repro.core.cosim.scenarios.ScenarioColumns` into consecutive
+    row ranges of at most ``chunk_size`` rows (the last chunk may be
+    shorter), each one columns again.  Each chunk is solved on its own, so
+    the solver's arrays never exceed one chunk; they are allocated in the
+    engine's working dtype (see :mod:`repro.core.backend`), so a
+    ``precision="float32"`` policy halves the streamed working-set memory
+    too.  Results still leave every chunk as host ``float64`` arrays.
     """
 
     def __init__(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
@@ -96,15 +103,10 @@ class ChunkPlan:
             raise ValueError("chunk_size must be at least 1")
         self.chunk_size = chunk_size
 
-    def chunks(self, scenarios: Iterable[Scenario]) -> Iterator[Sequence[Scenario]]:
-        """Consecutive chunks of at most :attr:`chunk_size` scenarios."""
-        if isinstance(scenarios, (ScenarioColumns, ScenarioGrid)):
-            for start in range(0, len(scenarios), self.chunk_size):
-                yield scenarios[start : start + self.chunk_size]
-            return
-        iterator = iter(scenarios)
-        while chunk := list(itertools.islice(iterator, self.chunk_size)):
-            yield chunk
+    def chunks(self, scenarios: _Source) -> Iterator[ScenarioColumns]:
+        """Consecutive chunks of at most :attr:`chunk_size` rows."""
+        for start in range(0, len(scenarios), self.chunk_size):
+            yield scenarios[start : start + self.chunk_size]
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ class StreamProgress:
     """One progress observation of a streamed run (per completed chunk)."""
 
     rows_done: int
-    total_rows: Optional[int]
+    total_rows: int
     chunk_index: int
     elapsed_seconds: float
 
@@ -125,29 +127,15 @@ class StreamProgress:
 
     @property
     def eta_seconds(self) -> Optional[float]:
-        """Projected remaining seconds (``None`` without a known total)."""
+        """Projected remaining seconds (``None`` until a rate is known)."""
         rate = self.rows_per_second
-        if self.total_rows is None or rate <= 0.0:
+        if rate <= 0.0:
             return None
         return max(self.total_rows - self.rows_done, 0) / rate
 
 
 #: Per-chunk progress observer.
 ProgressCallback = Callable[[StreamProgress], None]
-
-
-def _known_total(
-    scenarios: Iterable[Scenario], total: Optional[int]
-) -> Optional[int]:
-    if total is not None:
-        total = int(total)
-        if total < 1:
-            raise ValueError("total must be at least 1 when given")
-        return total
-    try:
-        return len(scenarios)  # type: ignore[arg-type]
-    except TypeError:
-        return None
 
 
 class _FieldSink:
@@ -162,16 +150,13 @@ class _FieldSink:
     """
 
     def __init__(self, total: int, directory: Optional[Union[str, Path]]) -> None:
-        if total < 1:
-            raise ValueError("field storage needs at least one scenario row")
         self.total = total
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._arrays: Dict[str, np.ndarray] = {}
 
-    def _create(self, name: str, tail: Tuple[int, ...], dtype) -> np.ndarray:
-        shape = (self.total, *tail)
+    def _create(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
         if self.directory is None:
             return np.empty(shape, dtype=dtype)
         return np.lib.format.open_memmap(
@@ -183,25 +168,16 @@ class _FieldSink:
         values = np.asarray(values)
         array = self._arrays.get(name)
         if array is None:
-            array = self._create(name, values.shape[1:], values.dtype)
+            array = self._create(name, (self.total, *values.shape[1:]), values.dtype)
             self._arrays[name] = array
         array[offset : offset + values.shape[0]] = values
 
     def write_shared(self, name: str, values: np.ndarray) -> None:
         """Store a grid-wide (non-per-scenario) array, e.g. the time grid."""
-        values = np.asarray(values)
         if name not in self._arrays:
-            if self.directory is None:
-                self._arrays[name] = values.copy()
-            else:
-                array = np.lib.format.open_memmap(
-                    self.directory / f"{name}.npy",
-                    mode="w+",
-                    dtype=values.dtype,
-                    shape=values.shape,
-                )
-                array[...] = values
-                self._arrays[name] = array
+            values = np.asarray(values)
+            array = self._arrays[name] = self._create(name, values.shape, values.dtype)
+            array[...] = values
 
     def finalize(self) -> Dict[str, np.ndarray]:
         """Flush memmaps and return the named field arrays."""
@@ -338,11 +314,10 @@ class StreamResult:
 
 
 def _stream(
-    scenarios: Iterable[Scenario],
-    solve: Callable[[Sequence[Scenario], int], _Batch],
+    source: _Source,
+    solve: Callable[[ScenarioColumns, int], _Batch],
     reduction: _OnlineReduction,
     chunk_size: int,
-    total: Optional[int],
     keep_fields: bool,
     memmap_path: Optional[Union[str, Path]],
     progress: Optional[ProgressCallback],
@@ -351,20 +326,15 @@ def _stream(
     :func:`stream_transient`: ``solve(chunk, offset)`` is the only per-kind
     step; the plan, field sink, row offset and progress live here."""
     plan = ChunkPlan(chunk_size)
-    if not keep_fields and memmap_path is None:
-        sink = None
-    elif total is None:
-        raise ValueError(
-            "full-field retention needs the grid size up front: pass a sized "
-            "scenario sequence or total="
-        )
-    else:
+    total = len(source)
+    if total == 0:
+        raise ValueError("at least one scenario is required")
+    sink = None
+    if keep_fields or memmap_path is not None:
         sink = _FieldSink(total, memmap_path)
     started = time.perf_counter()
     offset = 0
-    for chunk_index, chunk in enumerate(plan.chunks(scenarios)):
-        if total is not None and offset + len(chunk) > total:
-            raise ValueError(f"total={total} but the scenarios yield more rows")
+    for chunk_index, chunk in enumerate(plan.chunks(source)):
         batch = solve(chunk, offset)
         reduction.update(batch)
         if sink is not None:
@@ -383,10 +353,6 @@ def _stream(
                     elapsed_seconds=time.perf_counter() - started,
                 )
             )
-    if offset == 0:
-        raise ValueError("at least one scenario is required")
-    if total is not None and offset != total:
-        raise ValueError(f"total={total} but the scenarios yield {offset} rows")
     return StreamResult(
         block_names=reduction.block_names,
         scenario_count=reduction.scenario_count,
@@ -403,9 +369,8 @@ def _stream(
 
 def stream_steady(
     engine: ScenarioEngine,
-    scenarios: Iterable[Scenario],
+    scenarios: Union[_Source, Sequence[Scenario]],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    total: Optional[int] = None,
     keep_fields: bool = False,
     memmap_path: Optional[Union[str, Path]] = None,
     progress: Optional[ProgressCallback] = None,
@@ -421,17 +386,15 @@ def stream_steady(
     engine:
         The steady :class:`~repro.core.cosim.scenarios.ScenarioEngine`.
     scenarios:
-        Any scenario iterable — a list, a lazy generator, or columns:
-        a :class:`~repro.core.cosim.scenarios.ScenarioGrid` is sliced into
-        column chunks by index arithmetic (the grid then never exists in
-        memory at once, and no scenario object is built).
+        A :class:`~repro.core.cosim.scenarios.ScenarioGrid` (sliced into
+        column chunks by index arithmetic, so the grid never exists in
+        memory at once and no scenario object is built),
+        :class:`~repro.core.cosim.scenarios.ScenarioColumns`, or a sequence
+        of scenarios (converted to columns once).  An unsized iterator
+        raises ``TypeError``.
     chunk_size:
         Rows solved per chunk; working memory scales with this, not with
         the grid.
-    total:
-        Grid size when ``scenarios`` is an unsized iterator (required only
-        for full-field retention and progress ETAs); a stream yielding a
-        different row count is rejected.
     keep_fields, memmap_path:
         Retain the full per-scenario field arrays — in memory
         (``keep_fields=True``) or as ``<name>.npy`` memmaps under the given
@@ -444,8 +407,10 @@ def stream_steady(
         :meth:`~repro.core.cosim.scenarios.ScenarioEngine.solve`.
     """
     validate_fixed_point_options(max_iterations, tolerance, damping, max_temperature)
+    source = _columnar(scenarios)
+    reduction = OnlineSteadyReduction()
 
-    def solve(chunk: Sequence[Scenario], offset: int) -> ScenarioBatchResult:
+    def solve(chunk: ScenarioColumns, offset: int) -> ScenarioBatchResult:
         return engine.solve(
             chunk,
             max_iterations=max_iterations,
@@ -455,25 +420,17 @@ def stream_steady(
         )
 
     return _stream(
-        scenarios,
-        solve,
-        OnlineSteadyReduction(),
-        chunk_size,
-        _known_total(scenarios, total),
-        keep_fields,
-        memmap_path,
-        progress,
+        source, solve, reduction, chunk_size, keep_fields, memmap_path, progress
     )
 
 
 def stream_transient(
     engine: TransientScenarioEngine,
-    scenarios: Iterable[Scenario],
+    scenarios: Union[_Source, Sequence[Scenario]],
     duration: float,
     time_step: float,
     activity: Optional[ActivityGrid] = None,
     chunk_size: int = DEFAULT_TRANSIENT_CHUNK_SIZE,
-    total: Optional[int] = None,
     keep_fields: bool = False,
     memmap_path: Optional[Union[str, Path]] = None,
     progress: Optional[ProgressCallback] = None,
@@ -482,58 +439,41 @@ def stream_transient(
 ) -> StreamResult:
     """Integrate a scenario stream chunk by chunk with online reduction.
 
-    The transient counterpart of :func:`stream_steady`: each chunk runs
+    The transient counterpart of :func:`stream_steady` (same sources):
+    each chunk runs
     :meth:`~repro.core.cosim.transient_scenarios.TransientScenarioEngine.simulate`
-    over the shared time grid, per-scenario activity grids are sliced by
-    the chunk's row offset (so a chunked run sees exactly the monolithic
-    workload; this needs the grid size — pass a sized sequence or
-    ``total=`` when the activity varies per scenario), and the standard
-    transient metrics are reduced online.  ``settle_tolerance_kelvin`` is
+    over the shared time grid with the workload cut to the chunk's own
+    rows (:meth:`~repro.core.cosim.transient_scenarios.ActivityGrid.rows`,
+    so per-step activity work is proportional to the chunk, and a chunked
+    run sees exactly the monolithic workload), and the standard transient
+    metrics are reduced online.  The workload must broadcast to
+    ``(rows, blocks)`` of the whole source.  ``settle_tolerance_kelvin`` is
     the reporting band of the ``settle_time`` series, as in
     :meth:`~repro.core.cosim.transient_scenarios.TransientBatchResult.series`.
     """
+    source = _columnar(scenarios)
     reduction = OnlineTransientReduction(settle_tolerance_kelvin)
-    total = _known_total(scenarios, total)
-    if total is None and activity is not None:
-        values = np.asarray(activity.values(0.0), dtype=float)
-        if values.ndim == 2 and values.shape[0] > 1:
-            raise ValueError(
-                "per-scenario activity grids need the grid size up front: "
-                "pass a sized scenario sequence or total="
-            )
+    if activity is not None:
+        np.broadcast_to(
+            np.asarray(activity.values(0.0), dtype=float),
+            (len(source), len(engine.block_names)),
+        )
 
-    def solve(chunk: Sequence[Scenario], offset: int) -> TransientBatchResult:
+    def solve(chunk: ScenarioColumns, offset: int) -> TransientBatchResult:
+        rows = None if activity is None else activity.rows(offset, offset + len(chunk))
         return engine.simulate(
-            chunk,
-            duration,
-            time_step,
-            activity=activity,
-            # Without a known grid size the activity is scenario-uniform
-            # (guarded above), so every chunk may start at row 0.
-            scenario_offset=offset if total is not None else 0,
-            total_scenarios=total,
-            **simulate_kwargs,
+            chunk, duration, time_step, activity=rows, **simulate_kwargs
         )
 
     return _stream(
-        scenarios,
-        solve,
-        reduction,
-        chunk_size,
-        total,
-        keep_fields,
-        memmap_path,
-        progress,
+        source, solve, reduction, chunk_size, keep_fields, memmap_path, progress
     )
 
 
 def format_progress(update: StreamProgress) -> str:
     """One-line human-readable progress report (the CLI's ``--progress``)."""
-    if update.total_rows:
-        head = f"chunk {update.chunk_index + 1}: "
-        head += f"{update.rows_done}/{update.total_rows} scenarios"
-    else:
-        head = f"chunk {update.chunk_index + 1}: {update.rows_done} scenarios"
+    head = f"chunk {update.chunk_index + 1}: "
+    head += f"{update.rows_done}/{update.total_rows} scenarios"
     rate = update.rows_per_second
     parts = [head, f"{rate:,.0f} rows/s" if rate else "-- rows/s"]
     eta = update.eta_seconds

@@ -34,6 +34,7 @@ within 1e-9 K.
 
 from __future__ import annotations
 
+import copy
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -75,8 +76,14 @@ class ActivityGrid(ABC):
     scenario at one instant, as an array broadcastable to
     ``(n_scenarios, n_blocks)`` — the batched replacement for the scalar
     ``ActivityProfile`` callable (1.0 = nominal activity; leakage always
-    follows temperature regardless of activity).
+    follows temperature regardless of activity).  :meth:`rows` cuts a
+    grid to a row range, so a chunk of a streamed run evaluates only its
+    own rows; a subclass names its per-scenario arrays in ``_ROW_ARRAYS``.
     """
+
+    #: Per-scenario array attributes, each with its count of leading axes
+    #: before one instant's ``(scenarios, blocks)`` shape (a trace's samples).
+    _ROW_ARRAYS: Mapping[str, int] = {}
 
     @abstractmethod
     def values(self, time: float) -> np.ndarray:
@@ -101,6 +108,23 @@ class ActivityGrid(ABC):
         """
         return np.empty(0)
 
+    def rows(self, start: int, stop: int) -> "ActivityGrid":
+        """This grid cut to scenario rows ``[start, stop)``.
+
+        A shallow copy of the same class whose :meth:`values` covers only
+        those rows; :meth:`breakpoints` and :meth:`constant_after` still
+        describe the whole grid, so every chunk of a streamed run
+        integrates over one time grid with one settle instant.
+        """
+        view = copy.copy(self)
+        for name, lead in self._ROW_ARRAYS.items():
+            array = getattr(self, name)
+            axis = array.ndim - 2
+            if axis >= lead and array.shape[axis] != 1:
+                rows = (slice(None),) * axis + (slice(start, stop),)
+                setattr(view, name, array[rows])
+        return view
+
     def profile_for(self, row: int, block_names: Sequence[str]) -> ActivityProfile:
         """Scalar ``ActivityProfile`` view of one scenario row.
 
@@ -109,12 +133,11 @@ class ActivityGrid(ABC):
         batched engine.
         """
         names = tuple(block_names)
+        view = self.rows(row, row + 1)
 
         def profile(time: float) -> Mapping[str, float]:
-            values = np.asarray(self.values(time), dtype=float)
-            if values.ndim == 2:
-                values = values[row]
-            values = np.broadcast_to(values, (len(names),))
+            values = np.asarray(view.values(time), dtype=float)
+            values = np.broadcast_to(values, (1, len(names)))[0]
             return {name: float(values[column]) for column, name in enumerate(names)}
 
         return profile
@@ -128,6 +151,8 @@ class ConstantActivity(ActivityGrid):
     pair its own multiplier (use shape ``(n_scenarios, 1)`` for
     per-scenario scaling).
     """
+
+    _ROW_ARRAYS = {"_values": 0}
 
     def __init__(self, multipliers: Union[float, Sequence[float]] = 1.0) -> None:
         self._values = _as_multipliers(multipliers, "multipliers")
@@ -148,6 +173,8 @@ class StepActivity(ActivityGrid):
     ``(n_scenarios, n_blocks)`` like every grid.
     """
 
+    _ROW_ARRAYS = {"_before": 0, "_after": 0, "_switch": 0}
+
     def __init__(
         self,
         before: Union[float, Sequence[float]],
@@ -162,16 +189,17 @@ class StepActivity(ActivityGrid):
         if switch.ndim > 1:
             raise ValueError("switch_times must be a scalar or one per scenario")
         self._switch = switch[:, np.newaxis] if switch.ndim == 1 else switch
+        self._edges = np.unique(switch)  # of the whole grid, kept by rows()
 
     def values(self, time: float) -> np.ndarray:
         return np.where(time < self._switch, self._before, self._after)
 
     @property
     def constant_after(self) -> float:
-        return float(np.max(self._switch))
+        return float(self._edges[-1])
 
     def breakpoints(self, duration: float) -> np.ndarray:
-        edges = np.unique(self._switch)
+        edges = self._edges
         return edges[(edges > 0.0) & (edges < duration)]
 
 
@@ -183,6 +211,8 @@ class PWMActivity(ActivityGrid):
     generalization of ``square_wave_activity_profile``.  ``periods`` and
     ``duty_cycles`` may be scalars or one value per scenario.
     """
+
+    _ROW_ARRAYS = {"_period": 0, "_duty": 0, "_on": 0, "_off": 0}
 
     def __init__(
         self,
@@ -203,6 +233,9 @@ class PWMActivity(ActivityGrid):
         self._duty = duty[:, np.newaxis] if duty.ndim == 1 else duty
         self._on = _as_multipliers(on, "on")
         self._off = _as_multipliers(off, "off")
+        # The distinct (period, duty) pairs of the whole grid, kept by rows().
+        pairs = np.stack(np.broadcast_arrays(self._period, self._duty), axis=-1)
+        self._pairs = np.unique(pairs.reshape(-1, 2), axis=0)
 
     def values(self, time: float) -> np.ndarray:
         phase = (time % self._period) / self._period
@@ -210,19 +243,13 @@ class PWMActivity(ActivityGrid):
         # inserted breakpoint (k + duty) * period can land a hair below
         # ``duty`` and k * period a hair below 1.0, which would hold the
         # stale pre-edge multiplier over the following sub-interval.
-        phase = np.where(np.isclose(phase, 1.0, rtol=0.0, atol=1e-9), 0.0, phase)
-        on = (phase < self._duty) & ~np.isclose(phase, self._duty, rtol=0.0, atol=1e-9)
+        phase = np.where(np.abs(phase - 1.0) <= 1e-9, 0.0, phase)
+        on = (phase < self._duty) & (np.abs(phase - self._duty) > 1e-9)
         return np.where(on, self._on, self._off)
 
     def breakpoints(self, duration: float) -> np.ndarray:
-        pairs = np.unique(
-            np.stack(np.broadcast_arrays(self._period, self._duty), axis=-1).reshape(
-                -1, 2
-            ),
-            axis=0,
-        )
         edges = []
-        for period, duty in pairs:
+        for period, duty in self._pairs:
             cycles = np.arange(0.0, duration / period + 1.0)
             edges.append(cycles * period)
             edges.append((cycles + duty) * period)
@@ -238,6 +265,8 @@ class TraceActivity(ActivityGrid):
     be shaped ``(samples,)``, ``(samples, blocks)`` or
     ``(samples, scenarios, blocks)``.
     """
+
+    _ROW_ARRAYS = {"_values": 1}
 
     def __init__(self, times: Sequence[float], values) -> None:
         self._times = np.asarray(times, dtype=float)
@@ -649,8 +678,6 @@ class TransientScenarioEngine:
         max_temperature: float = 500.0,
         settle_tolerance: Optional[float] = None,
         include_activity_edges: bool = True,
-        scenario_offset: int = 0,
-        total_scenarios: Optional[int] = None,
     ) -> TransientBatchResult:
         """Integrate every scenario's block temperatures over ``duration``.
 
@@ -664,8 +691,11 @@ class TransientScenarioEngine:
             exponential update is unconditionally stable, but coarse steps
             smear transients between activity edges.
         activity:
-            Vectorized workload (:class:`ActivityGrid`); nominal activity
-            (multiplier 1.0 everywhere) when omitted.
+            Vectorized workload (:class:`ActivityGrid`) over exactly these
+            rows, broadcastable to ``(len(scenarios), blocks)``; nominal
+            activity (multiplier 1.0 everywhere) when omitted.  A chunk of
+            a larger grid passes the grid's :meth:`ActivityGrid.rows` cut
+            to the chunk.
         initial_temperatures:
             Starting junction temperatures [K] per block name, applied to
             every scenario; each scenario's ambient by default.  Unknown
@@ -684,12 +714,6 @@ class TransientScenarioEngine:
         include_activity_edges:
             Union the activity grid's switching instants into the time
             grid, so piecewise-constant workloads are integrated exactly.
-        scenario_offset, total_scenarios:
-            When this batch is one chunk of a larger grid, the chunk's
-            starting row and the grid's full scenario count: per-scenario
-            activity grids (2-D multipliers, per-scenario switch times,
-            ...) are defined over the *full* grid and sliced here, so a
-            chunked run sees exactly the monolithic workload.
         """
         require_finite(
             duration=duration,
@@ -709,15 +733,9 @@ class TransientScenarioEngine:
             raise ValueError("max_temperature must exceed every ambient temperature")
         if activity is None:
             activity = ConstantActivity(1.0)
-        total = physics.count if total_scenarios is None else int(total_scenarios)
-        if total < physics.count:
-            raise ValueError("total_scenarios must cover the batch")
-        if not 0 <= scenario_offset <= total - physics.count:
-            raise ValueError("scenario_offset places the batch outside the grid")
         shape = (physics.count, physics.blocks)
-        full_shape = (total, physics.blocks)
         # Validate the grid broadcasts before the integration starts.
-        np.broadcast_to(np.asarray(activity.values(0.0), dtype=float), full_shape)
+        np.broadcast_to(np.asarray(activity.values(0.0), dtype=float), shape)
 
         steps = int(math.ceil(duration / time_step)) + 1
         times = np.linspace(0.0, duration, steps)
@@ -737,16 +755,13 @@ class TransientScenarioEngine:
         xp = physics.xp
 
         def evaluators(rows: Optional[np.ndarray]):
-            if rows is None:
-                held = physics
-                chunk = slice(scenario_offset, scenario_offset + physics.count)
-            else:
-                held, chunk = physics._compacted(rows), scenario_offset + rows
+            held = physics if rows is None else physics._compacted(rows)
+            kept = slice(None) if rows is None else rows
 
             def power_fn(now: float, temps):
                 multipliers = np.broadcast_to(
-                    np.asarray(activity.values(now), dtype=float), full_shape
-                )[chunk]
+                    np.asarray(activity.values(now), dtype=float), shape
+                )[kept]
                 scaled = held.dynamic * xp.asarray(multipliers, dtype=physics.dtype)
                 return scaled + held.static_powers(temps)
 

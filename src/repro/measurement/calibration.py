@@ -75,8 +75,3 @@ class TemperatureCalibration:
             residual=residual,
             points=tuple(zip(temperatures.tolist(), voltages.tolist())),
         )
-
-    @property
-    def sensitivity_per_kelvin(self) -> float:
-        """Absolute voltage sensitivity [V/K]."""
-        return abs(self.slope)

@@ -96,12 +96,6 @@ class SleepVectorOptimizer:
         """Total number of netlist leakage evaluations performed so far."""
         return self._evaluations
 
-    def _worst_vector_power(self) -> float:
-        worst = 0.0
-        for vector in enumerate_vectors(self.netlist.primary_inputs):
-            worst = max(worst, self.leakage(vector))
-        return worst
-
     # ------------------------------------------------------------------ #
     # Searches
     # ------------------------------------------------------------------ #

@@ -41,6 +41,7 @@ from ..api.kinds import DEFAULT_ENGINE_CACHE_SIZE, DEFAULT_RESULT_CACHE_SIZE
 from ..api.results import StudyResult
 from ..api.specs import StudySpec
 from ..api.study import _solver_options, build_engine, run_study
+from ..core.cosim.scenarios import ScenarioColumns
 from .batching import AdmissionBatcher
 from .cache import LRUCache
 
@@ -105,7 +106,8 @@ class ExecutionCore:
         a cacheable engine up front; optimize builds its engines inside
         the search).  Singleton groups and non-coalescible kinds run
         :func:`~repro.api.study.run_study` against the cached engine.
-        Multi-spec steady groups run as **one** concatenated solve whose
+        Multi-spec steady groups run as **one** solve over the members'
+        concatenated columns (no row becomes a ``Scenario`` object), whose
         rows are sliced back per request.  Envelopes are plain data, so a
         pool worker's reply crosses the process boundary as it is.
         """
@@ -125,15 +127,15 @@ class ExecutionCore:
                 self._count_solve(coalesced=False)
                 results.append(run_study(spec, engine=engine).envelope())
             return results
-        # Coalesced steady solve: concatenate every member's scenarios,
-        # fix the whole batch in one engine call, scatter rows back.
-        scenario_lists = [spec.build_scenarios() for spec in specs]
-        merged = [scenario for chunk in scenario_lists for scenario in chunk]
+        # Coalesced steady solve: concatenate every member's columns, fix
+        # the whole batch in one engine call, scatter rows back.
+        parts = [ScenarioColumns.from_scenarios(s.build_scenarios()) for s in specs]
         self._count_solve(coalesced=True)
+        merged = ScenarioColumns.concatenate(parts)
         batch = engine.solve(merged, **_solver_options(first))
         results = []
         start = 0
-        for spec, scenarios in zip(specs, scenario_lists):
+        for spec, scenarios in zip(specs, parts):
             stop = start + len(scenarios)
             result = StudyResult.from_steady_batch(spec, batch.slice_rows(start, stop))
             results.append(result.envelope())

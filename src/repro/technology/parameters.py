@@ -256,10 +256,6 @@ class TechnologyParameters:
             raise ValueError("width must be positive")
         return self.gate_capacitance_per_width * width
 
-    def with_thermal(self, thermal: ThermalParameters) -> "TechnologyParameters":
-        """Copy of the technology with a different thermal environment."""
-        return replace(self, thermal=thermal)
-
     def with_supply(self, vdd: float) -> "TechnologyParameters":
         """Copy of the technology operated at a different supply voltage."""
         if vdd <= 0.0:

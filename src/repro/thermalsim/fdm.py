@@ -118,11 +118,6 @@ class SteadyStateResult:
         return first + 0.5 * (first - second)
 
     @property
-    def surface_temperature(self) -> np.ndarray:
-        """Absolute top-surface temperature [K], shape (nx, ny)."""
-        return self.surface_rise + self.ambient_temperature
-
-    @property
     def peak_rise(self) -> float:
         """Hottest temperature rise [K] anywhere in the die."""
         return float(self.temperature_rise.max())

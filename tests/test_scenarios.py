@@ -25,7 +25,6 @@ from repro.core.cosim import (
     ScenarioGrid,
     ScenarioPhysics,
     scenario_grid,
-    scenario_grid_stream,
     unit_resistance_matrix,
 )
 from repro.core.cosim.resistance_cache import cache_size, clear_cache
@@ -96,7 +95,7 @@ class TestScenario:
         technologies = [cmos_012um()]
         for axis in ("supply_scales", "ambient_temperatures"):
             with pytest.raises(ValueError, match=f"{axis} must be finite"):
-                scenario_grid_stream(technologies, **{axis: (1.0, value)})
+                ScenarioGrid(technologies, **{axis: (1.0, value)})
         with pytest.raises(ValueError, match="activity must be finite"):
             scenario_grid(technologies, activities=(value,))
 
@@ -206,6 +205,43 @@ class TestScenarioColumns:
         assert [columns.ambient[i] for i in range(4)] == [
             s.ambient for s in scenarios
         ]
+
+    def test_concatenate_keeps_every_row(self, engine, axes):
+        technology = cmos_012um()
+        explicit = ScenarioColumns.from_scenarios(
+            [
+                Scenario(technology, supply_voltage=1.05, label="fast"),
+                Scenario(technology, activity={"cache": 0.75}),
+            ]
+        )
+        parts = [ScenarioGrid(**axes)[3:9], explicit, ScenarioGrid(**axes)[30:36]]
+        merged = ScenarioColumns.concatenate(parts)
+        rows = [row for part in parts for row in part]
+        assert len(merged) == len(rows) == 14
+        assert list(merged) == rows
+        assert merged.labels[6:8] == ("fast", "") and merged.labels[0] == ""
+        for name in ("vdd", "supply_scale", "ambient"):
+            assert np.array_equal(
+                getattr(merged, name),
+                np.concatenate([getattr(part, name) for part in parts]),
+            )
+        # Staging the merged columns stages every part's own floats.
+        physics = ScenarioPhysics(engine, merged)
+        start = 0
+        for part in parts:
+            alone = ScenarioPhysics(engine, part)
+            window = slice(start, start + len(part))
+            assert np.array_equal(physics.dynamic[window], alone.dynamic)
+            assert np.array_equal(physics.static_ref[window], alone.static_ref)
+            start += len(part)
+
+    def test_describe_matches_the_scenario_objects(self, axes):
+        technology = cmos_012um()
+        explicit = ScenarioColumns.from_scenarios(
+            [Scenario(technology, label="hot"), Scenario(technology, 1.05, 330.0)]
+        )
+        for columns in (ScenarioGrid(**axes)[:], explicit):
+            assert columns.describe() == [row.describe() for row in columns]
 
     def test_staging_matches_the_scalar_power_scaling(self, engine, axes):
         # The per-node fan-out stages exactly the floats the scalar oracle

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from repro.api import StudyResult, StudySpec, run_study
 from repro.api.cli import main as cli_main
 from repro.api.specs import ENGINE_FIELDS, ScenarioSpec, TechnologySpec
+from repro.core.cosim import Scenario
 from repro.serve import (
     AdmissionBatcher,
     LRUCache,
@@ -286,6 +287,40 @@ class TestStudyService:
         assert stats["batching"]["coalesced_requests"] == 4
         for spec, envelope in zip(specs, envelopes):
             assert StudyResult.from_envelope(envelope).equals(run_study(spec))
+
+    def test_coalesced_grid_group_builds_no_scenario(self, monkeypatch):
+        # Members' columns are concatenated, solved once and sliced back:
+        # no row becomes a Scenario object on the way, labels included.
+        specs = [
+            steady_spec(
+                scenarios=(),
+                scenario_grid={
+                    "technologies": [{"node": "0.12um"}, {"node": node}],
+                    "supply_scales": [0.9, 1.0 + 0.05 * index],
+                    "ambient_temperatures": [300.0 + index, 320.0],
+                    "activities": [0.5, {"chip": 1.0 + 0.1 * index}],
+                },
+            )
+            for index, node in enumerate(("70nm", "0.18um", "50nm", "0.12um"))
+        ]
+        built = []
+        original = Scenario.__post_init__
+
+        def counting(scenario):
+            built.append(scenario)
+            original(scenario)
+
+        monkeypatch.setattr(Scenario, "__post_init__", counting)
+        with StudyService(window=0.3) as service:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                envelopes = list(pool.map(service.submit, [s.to_dict() for s in specs]))
+            stats = service.stats()
+        assert stats["execution"]["coalesced_solves"] == 1
+        assert built == []
+        for spec, envelope in zip(specs, envelopes):
+            reply = StudyResult.from_envelope(envelope)
+            assert len(reply.metadata["scenario_labels"]) == 16
+            assert reply.equals(run_study(spec))
 
     def test_process_pool_mode_is_bit_identical(self):
         spec = steady_spec()

@@ -35,10 +35,10 @@ from repro.core.cosim import (
     Scenario,
     ScenarioEngine,
     ScenarioGrid,
+    StepActivity,
     TransientScenarioEngine,
     format_progress,
     scenario_grid,
-    scenario_grid_stream,
     stream_steady,
     stream_transient,
 )
@@ -159,16 +159,6 @@ class TestSteadyStreaming:
         )
         assert np.array_equal(stream.series["converged"], steady_batch.converged)
 
-    def test_lazy_source_with_total(self, engine, grid):
-        # A generator source plus an explicit total streams identically to
-        # the materialized list (the ScenarioGridSpec execution path).
-        stream = stream_steady(
-            engine, iter(grid), chunk_size=10, total=len(grid)
-        )
-        reference = stream_steady(engine, grid, chunk_size=10)
-        for name in stream.series:
-            assert np.array_equal(stream.series[name], reference.series[name])
-
     def test_progress_reports_every_chunk(self, engine, grid):
         updates = []
         stream = stream_steady(
@@ -187,14 +177,12 @@ class TestSteadyStreaming:
         with pytest.raises(ValueError):
             stream_steady(engine, grid, chunk_size=0)
 
-    def test_total_above_the_stream_length_is_rejected(self, engine, grid):
-        # Field arrays are sized by total; unfilled rows must never leak.
-        with pytest.raises(ValueError, match="total=10"):
-            stream_steady(engine, grid[:4], total=10, keep_fields=True)
-
-    def test_total_below_the_stream_length_is_rejected(self, engine, grid):
-        with pytest.raises(ValueError, match="total=3"):
-            stream_steady(engine, iter(grid[:4]), total=3, keep_fields=True)
+    def test_unsized_iterator_is_refused(self, engine, grid):
+        # A chunk is a row range of one sized source; a generator has none.
+        with pytest.raises(TypeError, match="generator"):
+            stream_steady(engine, (scenario for scenario in grid))
+        with pytest.raises(ValueError, match="at least one scenario"):
+            stream_steady(engine, [])
 
 
 # --------------------------------------------------------------------- #
@@ -294,9 +282,73 @@ class TestTransientStreaming:
             transient_batch.block_temperatures.max(axis=(0, 1)),
         )
 
+    @pytest.fixture(scope="class", params=("pwm", "step"))
+    def per_row(self, request, tengine, tgrid):
+        """A workload with one period or switch time per grid row, and its
+        monolithic run."""
+        rows = len(tgrid)
+        if request.param == "pwm":
+            periods = [1e-3 * (1 + index % 5) for index in range(rows)]
+            activity = PWMActivity(periods, np.linspace(0.2, 0.8, rows))
+        else:
+            switch = np.linspace(0.5e-3, 8e-3, rows)
+            activity = StepActivity(0.1, [1.0, 0.5, 0.8], switch)
+        batch = tengine.simulate(
+            tgrid, self.DURATION, self.TIME_STEP, activity=activity
+        )
+        return activity, batch
+
+    @pytest.mark.parametrize("chunk_size", (1, 7, 16))
+    def test_per_row_workloads_are_chunk_invariant(
+        self, tengine, tgrid, per_row, chunk_size
+    ):
+        activity, batch = per_row
+        stream = stream_transient(
+            tengine,
+            tgrid,
+            self.DURATION,
+            self.TIME_STEP,
+            activity=activity,
+            chunk_size=chunk_size,
+            keep_fields=True,
+        )
+        assert_fields_equal(
+            stream.fields, {name: getattr(batch, name) for name in batch.FIELDS}
+        )
+
+    def test_each_chunk_evaluates_only_its_own_rows(
+        self, tengine, tgrid, per_row, monkeypatch
+    ):
+        activity, _ = per_row
+        grid_class = type(activity)
+        original = grid_class.values
+        calls = []  # (evaluated on the whole grid, rows evaluated)
+
+        def spy(grid, time):
+            values = original(grid, time)
+            calls.append((grid is activity, np.shape(values)[0]))
+            return values
+
+        monkeypatch.setattr(grid_class, "values", spy)
+        chunk_size = 5
+        stream_transient(
+            tengine,
+            tgrid,
+            self.DURATION,
+            self.TIME_STEP,
+            activity=activity,
+            chunk_size=chunk_size,
+        )
+        whole = [rows for on_grid, rows in calls if on_grid]
+        chunked = [rows for on_grid, rows in calls if not on_grid]
+        # One broadcast check over the grid, then only chunk-sized steps.
+        assert whole == [len(tgrid)]
+        assert max(chunked) == chunk_size
+        assert min(chunked) == len(tgrid) % chunk_size
+
 
 # --------------------------------------------------------------------- #
-# Lazy grids: scenario_grid_stream and ScenarioGridSpec
+# Lazy grids: ScenarioGrid rows and ScenarioGridSpec
 # --------------------------------------------------------------------- #
 class TestScenarioGridStream:
     def test_streams_the_grid_in_order(self):
@@ -306,7 +358,7 @@ class TestScenarioGridStream:
             ambient_temperatures=(298.15, 338.15),
             activities=(0.5, 1.0),
         )
-        streamed = list(scenario_grid_stream(technologies, **kwargs))
+        streamed = list(ScenarioGrid(technologies, **kwargs))
         materialized = scenario_grid(technologies, **kwargs)
         assert len(streamed) == len(materialized)
         for lazy, eager in zip(streamed, materialized):
@@ -314,15 +366,6 @@ class TestScenarioGridStream:
             assert lazy.supply_scale == eager.supply_scale
             assert lazy.ambient == eager.ambient
             assert lazy.activity == eager.activity
-
-    def test_is_lazy(self):
-        stream = scenario_grid_stream(
-            [make_technology("0.12um")], supply_scales=(0.9, 1.0)
-        )
-        # A generator, not a sequence: nothing is materialized up front.
-        assert iter(stream) is stream
-        first = next(stream)
-        assert first.supply_scale == pytest.approx(0.9)
 
 
 class TestScenarioGridSpec:

@@ -129,6 +129,31 @@ class TestActivityGrids:
         assert profile(1.5e-3) == {"core": 0.0, "cache": 0.0, "io": 0.0}
         assert profile(2.5e-3) == {"core": 1.0, "cache": 1.0, "io": 1.0}
 
+    @pytest.mark.parametrize(
+        "kind", ("trace_3d", "constant_2d", "step", "pwm", "trace_2d", "shared")
+    )
+    def test_rows_cut_values_and_keep_the_grid_timing(self, kind):
+        # Per-row grids over 13 rows, plus two without a scenario axis.
+        rng = np.random.default_rng(21)
+        periods = rng.choice([1e-3, 2e-3, 3e-3], 13)
+        grids = {
+            "pwm": PWMActivity(periods, 0.4, on=[1.0, 0.5, 0.8]),
+            "trace_2d": TraceActivity([0.0, 3e-3], rng.uniform(0, 1, (2, 3))),
+            "shared": PWMActivity(2e-3, 0.25),
+        }
+        grid = grids[kind] if kind in grids else _settle_activity(kind)
+        for start, stop in ((0, 13), (0, 5), (5, 10), (12, 13)):
+            cut = grid.rows(start, stop)
+            assert type(cut) is type(grid)
+            for time in (0.0, 0.7e-3, 2.5e-3, 4e-3, 9e-3):
+                whole = np.broadcast_to(grid.values(time), (13, 3))
+                assert np.array_equal(
+                    np.broadcast_to(cut.values(time), (stop - start, 3)),
+                    whole[start:stop],
+                )
+            assert cut.constant_after == grid.constant_after
+            assert np.array_equal(cut.breakpoints(8e-3), grid.breakpoints(8e-3))
+
 
 class TestScalarParity:
     """Acceptance criterion: batched vs scalar within 1e-9 K."""
@@ -287,14 +312,14 @@ class TestSettleDigests:
             leaky, supply_voltage=1.4 * leaky.vdd, ambient_temperature=400.0
         )
         rows = grid + [runaway]
-        kwargs = dict(duration=40e-3, time_step=0.1e-3, activity=_settle_activity(kind))
+        activity = _settle_activity(kind)
+        kwargs = dict(duration=40e-3, time_step=0.1e-3)
         size = chunk or len(rows)
         batches = [
             engine.simulate(
                 rows[start : start + size],
+                activity=activity.rows(start, start + size),
                 settle_tolerance=tolerance,
-                scenario_offset=start,
-                total_scenarios=len(rows),
                 **kwargs,
             )
             for start in range(0, len(rows), size)
@@ -304,7 +329,7 @@ class TestSettleDigests:
             digest.update(np.concatenate([getattr(b, name) for b in batches]).tobytes())
         assert digest.hexdigest() == SETTLE_DIGESTS[case]
         # The pin covers the settle path: rows froze, and one ran away.
-        exact = engine.simulate(rows, **kwargs)
+        exact = engine.simulate(rows, activity=activity, **kwargs)
         temperatures = np.concatenate([b.block_temperatures for b in batches])
         assert not np.array_equal(temperatures, exact.block_temperatures)
         assert bool(batches[-1].runaway[-1])
