@@ -305,7 +305,13 @@ def _command_info() -> int:
         "reproduction of Rossello et al., 'A Fast Concurrent Power-Thermal "
         "Model for Sub-100nm Digital ICs' (DATE 2005)"
     )
+    import numpy
+    import orjson
+    import scipy
+
     print(f"python: {sys.version.split()[0]}")
+    for module in (numpy, scipy, orjson):
+        print(f"{module.__name__}: {module.__version__}")
     print(f"study kinds: {', '.join(STUDY_KINDS)}")
     print(f"workload kinds: {', '.join(WORKLOAD_KINDS)}")
     print(f"optimize problems: {', '.join(OPTIMIZE_PROBLEMS)}")

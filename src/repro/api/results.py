@@ -8,11 +8,12 @@ thermal model — the result exposes the same surface:
 * ``summary()`` — headline metrics as plain data (what the CLI prints);
 * ``as_arrays()`` — the numerical payload as named numpy arrays;
 * ``to_json()`` / ``from_json()`` — lossless persistence.  Arrays are
-  serialized element-exactly (JSON floats round-trip ``float64`` via
-  ``repr``; a NaN element, such as a ``runaway_times`` entry of a row that
-  never ran away, is written as ``null``, so the output is strict JSON),
-  and a reloaded result compares bit-identically to the original — the
-  cache/replay property pinned by ``tests/test_api.py``;
+  serialized element-exactly (:func:`encode_payload` writes each
+  ``float64`` as its shortest round-tripping decimal; a NaN element, such
+  as a ``runaway_times`` entry of a row that never ran away, is written as
+  ``null``, so the output is strict JSON), and a reloaded result compares
+  bit-identically to the original — the cache/replay property pinned by
+  ``tests/test_api.py``;
 * ``native`` — the engine's own result object
   (:class:`~repro.core.cosim.scenarios.ScenarioBatchResult`,
   :class:`~repro.core.cosim.transient_scenarios.TransientBatchResult`,
@@ -34,11 +35,11 @@ studies and the classic :func:`repro.analysis.sweep.scenario_sweep` /
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
+import orjson
 
 from ..analysis.convergence import improvement
 from ..analysis.sweep import sweep_series
@@ -53,6 +54,32 @@ RESULT_FORMAT = 1
 
 #: The batch class behind each scenario-engine kind's fields and series.
 _BATCHES = {"steady": ScenarioBatchResult, "transient": TransientBatchResult}
+
+
+def _float_subclass(value: Any) -> float:
+    """orjson's fallback for a type it does not write itself.
+
+    A float subclass, such as a ``numpy.float64`` block coordinate of a
+    floorplan built with numpy, is written as its float value, as the
+    stdlib encoder writes it; anything else is refused.
+    """
+    if isinstance(value, float):
+        return float(value)
+    raise TypeError(f"Type is not JSON serializable: {type(value).__name__}")
+
+
+def encode_payload(payload: Mapping[str, Any], indent: bool = False) -> bytes:
+    """UTF-8 JSON bytes of a result payload: every result file and every
+    service reply goes through here.
+
+    orjson writes each float as its shortest round-tripping decimal (so a
+    ``float64`` reloads bit for bit, ``-0.0`` and subnormals included) and
+    any non-finite float as ``null``.  The text is compact, or 2-space
+    indented with ``indent``.  Specs and their hashes stay on the stdlib
+    encoder, whose bytes are pinned.
+    """
+    option = orjson.OPT_INDENT_2 if indent else 0
+    return orjson.dumps(payload, default=_float_subclass, option=option)
 
 
 def _encode_array(array: np.ndarray) -> Dict[str, Any]:
@@ -317,12 +344,13 @@ class StudyResult:
         payload = {key: encode(self) for key, (encode, _) in _PAYLOAD.items()}
         return {"format": RESULT_FORMAT, **payload}
 
-    def to_json(self, path: Optional[Union[str, Path]] = None, indent: int = 2) -> str:
-        """Serialize to JSON, optionally writing to ``path``."""
-        text = json.dumps(self.to_dict(), indent=indent) + "\n"
+    def to_json(self, path: Optional[Union[str, Path]] = None) -> str:
+        """Serialize to 2-space indented JSON, optionally writing to
+        ``path`` (as UTF-8)."""
+        data = encode_payload(self.to_dict(), indent=True) + b"\n"
         if path is not None:
-            Path(path).write_text(text)
-        return text
+            Path(path).write_bytes(data)
+        return data.decode("utf-8")
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "StudyResult":

@@ -304,11 +304,11 @@ def load_json_object(source: Union[str, Path], owner: str) -> Dict[str, Any]:
     otherwise.  Shared by the spec and result ``from_json`` entry points.
     """
     if isinstance(source, Path):
-        text = source.read_text()
+        text = source.read_text(encoding="utf-8")
     else:
         text = str(source)
         if not text.lstrip().startswith("{"):
-            text = Path(text).read_text()
+            text = Path(text).read_text(encoding="utf-8")
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError(f"{owner} JSON must be an object")

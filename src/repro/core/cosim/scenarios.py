@@ -328,11 +328,22 @@ class ScenarioColumns:
         """``(rows, blocks)`` activity factors: one row per activity of the
         table (per activity in use, when the table outgrows the rows),
         fanned out by index."""
-        used, index = range(len(self.activities)), self.activity_index
-        if len(used) > len(self):
+        entries, index = self.activities, self.activity_index
+        if len(entries) > len(self):
             used, index = np.unique(index, return_inverse=True)
-        table = [_activity_row(self.activities[entry], block_names) for entry in used]
-        table = np.asarray(table, dtype=float).reshape(len(used), len(block_names))
+            entries = [entries[entry] for entry in used.tolist()]
+        # Scalars convert in one pass and broadcast across the blocks; only
+        # per-block mappings take the row-by-row lookup.
+        mapped = [
+            row for row, entry in enumerate(entries) if isinstance(entry, abc.Mapping)
+        ]
+        scalars = list(entries)
+        for row in mapped:
+            scalars[row] = 0.0
+        column = np.asarray(scalars, dtype=float)
+        table = np.repeat(column[:, None], len(block_names), axis=1)
+        for row in mapped:
+            table[row] = _activity_row(entries[row], block_names)
         return table[index]
 
 

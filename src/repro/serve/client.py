@@ -24,6 +24,12 @@ class ServeError(RuntimeError):
         self.body = dict(body)
 
 
+def _refuse_non_finite(token: str) -> None:
+    """``parse_constant`` hook: ``NaN``/``Infinity`` are not JSON, and the
+    service promises strict replies."""
+    raise ValueError(f"reply is not strict JSON: it holds the token {token}")
+
+
 class StudyClient:
     """A persistent connection to one ``repro serve`` endpoint.
 
@@ -55,7 +61,9 @@ class StudyClient:
             self._conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._conn.request(method, path, body=body, headers=headers)
         response = self._conn.getresponse()
-        data = json.loads(response.read().decode("utf-8"))
+        data = json.loads(
+            response.read().decode("utf-8"), parse_constant=_refuse_non_finite
+        )
         return response.status, data
 
     def run(self, spec: Any) -> Dict[str, Any]:

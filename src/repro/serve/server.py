@@ -1,12 +1,14 @@
-"""The HTTP face of the study service (stdlib only, JSON in / JSON out).
+"""The HTTP face of the study service (JSON in / JSON out).
 
 A thin transport adapter over :class:`~repro.serve.service.StudyService`:
 request bodies are exactly the :meth:`StudySpec.to_dict
 <repro.api.specs._Spec.to_dict>` format the CLI reads and
 writes, responses are exactly the envelopes
-:meth:`~repro.api.results.StudyResult.envelope` produces — a file that
-round-trips through ``repro run`` round-trips through ``POST /run``
-unchanged.
+:meth:`~repro.api.results.StudyResult.envelope` produces, written compact
+by :func:`~repro.api.results.encode_payload` — a file that round-trips
+through ``repro run`` round-trips through ``POST /run`` to the same
+values.  Request bodies are decoded by the stdlib :mod:`json`, which
+reports ``NaN``/``Infinity`` tokens by field.
 
 Routes
 ------
@@ -42,6 +44,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from ..api import specs as _specs
+from ..api.results import encode_payload
 from .service import ServeTimeoutError, ServiceClosedError, StudyService
 
 #: Spec field names recognized when turning a validation message into a
@@ -169,7 +172,7 @@ class StudyRequestHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _reply(self, status: int, body: Dict[str, Any]) -> None:
-        payload = json.dumps(body).encode("utf-8")
+        payload = encode_payload(body)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))

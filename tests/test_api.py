@@ -12,6 +12,7 @@ The serialization contract is property-tested with hypothesis:
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from repro.api import (
     run_study,
 )
 from repro.api.cli import main as cli_main
+from repro.api.results import encode_payload
 from repro.api.specs import as_optimize_variable
 from repro.core.cosim import (
     PWMActivity,
@@ -363,6 +365,47 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
+#: float64 values an exact encoder must keep: signed zeros, subnormals,
+#: the ends of the finite range, and values whose shortest decimal has a
+#: short exponent (orjson writes ``1e-05`` as ``0.00001``).
+_EDGE_FLOATS = (
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308,
+    2.225073858507201e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    1e-05,
+    -1e-05,
+    1e-07,
+    1e16,
+    1e22,
+    0.1,
+    math.nan,
+)
+
+
+@st.composite
+def _payload_arrays(draw):
+    """A thermal-map result's arrays (coordinates matching the map) plus
+    int64 and bool arrays, with finite floats, edge values and NaN."""
+    rows, columns = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    elements = st.one_of(st.floats(allow_infinity=False), st.sampled_from(_EDGE_FLOATS))
+
+    def floats(shape):
+        return draw(npst.arrays(np.float64, shape, elements=elements))
+
+    return {
+        "temperature": floats((rows, columns)),
+        "x_coordinates": floats(rows),
+        "y_coordinates": floats(columns),
+        "counts": draw(npst.arrays(np.int64, st.integers(0, 6))),
+        "flags": draw(npst.arrays(np.bool_, st.integers(0, 6))),
+    }
+
+
 class TestResultRoundTrip:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -393,6 +436,67 @@ class TestResultRoundTrip:
             assert np.array_equal(reloaded, array, equal_nan=True) or np.array_equal(
                 reloaded, array
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays=_payload_arrays())
+    def test_encoder_reloads_arrays_bit_for_bit(self, arrays):
+        # Both encoded forms of a result, the file and the service reply,
+        # reload every float64, int64 and bool element bit for bit; NaN
+        # (written as null) comes back at the same positions.
+        result = StudyResult(
+            kind="thermal_map",
+            spec=_minimal_spec(),
+            arrays=arrays,
+            metadata={"ambient_temperature": 300.0},
+        )
+        reply = json.loads(encode_payload(result.envelope({"result_cache": "miss"})))
+        for loaded in (
+            StudyResult.from_json(result.to_json()),
+            StudyResult.from_envelope(reply),
+        ):
+            assert set(loaded.arrays) == set(arrays)
+            for name, array in arrays.items():
+                reloaded = loaded.array(name)
+                assert reloaded.dtype == array.dtype
+                assert reloaded.shape == array.shape
+                if array.dtype.kind == "f":
+                    nan = np.isnan(array)
+                    assert np.array_equal(np.isnan(reloaded), nan)
+                    reloaded, array = reloaded[~nan], array[~nan]
+                assert reloaded.tobytes() == array.tobytes()
+
+    def test_numpy_float_block_coordinates_encode_as_their_floats(self):
+        # numpy arithmetic leaves numpy.float64 coordinates in a floorplan;
+        # both encoded forms write them as the floats they are, and the
+        # spec hashes as the plain-float floorplan does.
+        plain = three_block_floorplan()
+        moved = Floorplan(plain.die, name=plain.name)
+        for block in plain.blocks():
+            moved.add_block(
+                replace(block, x=np.float64(block.x), width=np.float64(block.width))
+            )
+        result = Study.thermal_map(moved, {"core": 0.3}, samples=(8, 8)).run()
+        expected = Study.thermal_map(plain, {"core": 0.3}, samples=(8, 8)).run()
+        assert result.spec.content_hash() == expected.spec.content_hash()
+        reply = json.loads(encode_payload(result.envelope()))
+        for loaded in (
+            StudyResult.from_json(result.to_json()),
+            StudyResult.from_envelope(reply),
+        ):
+            assert loaded.equals(expected)
+
+    def test_non_ascii_text_round_trips_through_a_file(self, tmp_path):
+        # Result files hold non-ASCII text unescaped, as UTF-8.
+        result = StudyResult(
+            kind="thermal_map",
+            spec=_minimal_spec(),
+            arrays={"temperature": np.ones((1, 1))},
+            metadata={"ambient_temperature": 300.0, "note": "ΔT in µs, 25 °C"},
+        )
+        path = tmp_path / "result.json"
+        result.to_json(path)
+        assert "ΔT in µs, 25 °C".encode("utf-8") in path.read_bytes()
+        assert StudyResult.from_json(path).equals(result)
 
     def test_every_kind_round_trips(self, tmp_path):
         for study in (
@@ -1217,6 +1321,9 @@ class TestCLI:
         assert "optimize strategies: " in captured
         assert "optimize objectives: " in captured
         assert "nelder_mead" in captured
+        # The runtime dependencies' versions sit beside Python's.
+        for module in ("python", "numpy", "scipy", "orjson"):
+            assert f"\n{module}: " in captured
 
     def test_run_reports_engine_errors(self, tmp_path, capsys):
         # Validates as a spec, but the engine rejects the combination at

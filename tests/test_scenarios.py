@@ -261,6 +261,35 @@ class TestScenarioColumns:
             thermal = scenario.technology.thermal
             assert physics.heat_sink[index] == thermal.heat_sink_resistance
 
+    @pytest.mark.parametrize(
+        "activities",
+        [
+            (0.5, 1, np.float32(0.1), 0.3, 1.25, 0.0),
+            ({"core": 1.5, "io": 0.25}, {"cache": 0.1}, {}),
+            (0.5, {"core": 1.5, "io": 0.25}, 0.3, {"cache": 0.1}, 2),
+        ],
+        ids=["scalar", "mapping", "mixed"],
+    )
+    def test_activity_matrix_matches_the_per_row_reference(self, engine, activities):
+        # Explicit rows, a whole grid, and grid windows whose activity axis
+        # outgrows the window (the activities in use are looked up alone):
+        # every row holds exactly the factors its scenario object gives.
+        names = engine.block_names
+        technology = cmos_012um()
+        explicit = ScenarioColumns.from_scenarios(
+            [Scenario(technology, activity=activity) for activity in activities]
+        )
+        grid = ScenarioGrid([technology], (0.9, 1.1), activities=activities)
+        windows = [explicit, explicit[1:3], grid[:], grid[2:4], grid[7:8], grid[3:3]]
+        for columns in windows:
+            matrix = columns.activity_matrix(names)
+            expected = np.asarray(
+                [[row.activity_factor(name) for name in names] for row in columns],
+                dtype=float,
+            ).reshape(len(columns), len(names))
+            assert matrix.dtype == np.float64
+            assert matrix.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, 0.0])
     def test_bad_axis_values_are_rejected_by_name(self, value):
         technologies = [cmos_012um()]

@@ -20,6 +20,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPResponse
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -452,6 +453,33 @@ class TestHTTPServer:
         assert body["error"]["field"] == "chip"
         message = body["error"]["message"]
         assert f"(dynamic_powers.chip) holds the non-finite number {token}" in message
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_client_refuses_a_reply_holding_a_non_finite_token(self, token):
+        # A stand-in server whose reply is JSON but for one bare token.
+        body = f'{{"status": "ok", "stats": {{"value": {token}}}}}'.encode()
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, format, *args) -> None:
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with StudyClient(*server.server_address[:2], timeout=30.0) as client:
+                with pytest.raises(ValueError, match=f"not strict JSON.* {token}$"):
+                    client.stats()
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
 
     def test_shutdown_drains_in_flight_requests(self):
         server = make_server("127.0.0.1", 0, window=0.5)
