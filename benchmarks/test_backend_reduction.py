@@ -3,8 +3,8 @@
 Two guarantees of the pluggable thermal-backend layer are tracked in
 ``BENCH_backends.json`` for ``check_floors.py``:
 
-* the ``fdm`` backend's reduction — one ``splu`` factorization plus one
-  multi-column triangular solve for all block right-hand sides — must be
+* the ``fdm`` backend's reduction — one ``splu`` factorization whose
+  LU factors solve every block right-hand side — must be
   at least :data:`REQUIRED_SPEEDUP` times faster than the pre-backend
   per-RHS ``spsolve`` approach on the same assembled system (the tracked
   ``speedup`` ratio);

@@ -29,8 +29,8 @@ selectable backends:
   engines and by far the fastest;
 * :class:`FdmOperator` — the numerical reference: the 3-D finite-volume
   solver of :mod:`repro.thermalsim.fdm`, factorized once (``splu``) and
-  solved for all ``n_blocks`` unit-power right-hand sides in one
-  multi-column substitution, with block-centre surface sampling;
+  solved for all ``n_blocks`` unit-power right-hand sides by reusing
+  those LU factors, with block-centre surface sampling;
 * :class:`FosterOperator` — the lumped-RC steady-state limit (one
   1-D Foster column per block, no lateral spreading, no inter-block
   coupling) for cheap smoke-level studies.
@@ -223,8 +223,8 @@ class FdmOperator(ThermalOperator):
     (adiabatic sides/top, isothermal bottom).  The sparse system is
     factorized once (``splu`` via
     :attr:`~repro.thermalsim.fdm.FiniteVolumeThermalSolver.factorization`)
-    and all ``n_blocks`` unit-power right-hand sides are solved in one
-    multi-column substitution; block temperatures are sampled at each
+    and all ``n_blocks`` unit-power right-hand sides are solved against
+    those LU factors; block temperatures are sampled at each
     block's centre on the top surface (bilinear).
     """
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -256,9 +256,6 @@ class FiniteVolumeThermalSolver:
     # ------------------------------------------------------------------ #
     # Assembly and solve
     # ------------------------------------------------------------------ #
-    def _index(self, i: int, j: int, k: int) -> int:
-        return (i * self.ny + j) * self.nz + k
-
     def system_matrix(self) -> sparse.csc_matrix:
         """The sparse stiffness matrix ``K`` (assembled once, then cached).
 
@@ -283,43 +280,46 @@ class FiniteVolumeThermalSolver:
         gz = conductivity * self.dx * self.dy / self.dz
         g_bottom = conductivity * self.dx * self.dy / (0.5 * self.dz)
 
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
+        # Cell (i, j, k) sits at flat index (i * ny + j) * nz + k.
+        i, j, k = (
+            axis.reshape(-1)
+            for axis in np.indices((self.nx, self.ny, self.nz))
+        )
+        center = np.arange(n_cells)
+        # Each cell's six neighbours in a fixed order: (exists, offset,
+        # conductance).
+        neighbors = [
+            (i > 0, -self.ny * self.nz, gx),
+            (i < self.nx - 1, self.ny * self.nz, gx),
+            (j > 0, -self.nz, gy),
+            (j < self.ny - 1, self.nz, gy),
+            (k > 0, -1, gz),
+            (k < self.nz - 1, 1, gz),
+        ]
+        # Bottom layer: conductance to the isothermal sink at temperature
+        # rise zero.  The diagonal then adds the neighbour conductances in
+        # the order above (a missing neighbour adds an exact 0.0).
+        diagonal = np.where(k == self.nz - 1, g_bottom, 0.0)
+        for exists, _, conductance in neighbors:
+            diagonal = diagonal + np.where(exists, conductance, 0.0)
 
-        for i in range(self.nx):
-            for j in range(self.ny):
-                for k in range(self.nz):
-                    center = self._index(i, j, k)
-                    diagonal = 0.0
-                    neighbors: List[Tuple[int, float]] = []
-                    if i > 0:
-                        neighbors.append((self._index(i - 1, j, k), gx))
-                    if i < self.nx - 1:
-                        neighbors.append((self._index(i + 1, j, k), gx))
-                    if j > 0:
-                        neighbors.append((self._index(i, j - 1, k), gy))
-                    if j < self.ny - 1:
-                        neighbors.append((self._index(i, j + 1, k), gy))
-                    if k > 0:
-                        neighbors.append((self._index(i, j, k - 1), gz))
-                    if k < self.nz - 1:
-                        neighbors.append((self._index(i, j, k + 1), gz))
-                    else:
-                        # Bottom layer: conductance to the isothermal sink at
-                        # temperature rise zero.
-                        diagonal += g_bottom
-                    for neighbor, conductance in neighbors:
-                        rows.append(center)
-                        cols.append(neighbor)
-                        vals.append(-conductance)
-                        diagonal += conductance
-                    rows.append(center)
-                    cols.append(center)
-                    vals.append(diagonal)
+        # One row per cell: its neighbour entries, then its diagonal.
+        # Masking keeps that per-cell order in the flattened triplets.
+        present = np.column_stack(
+            [exists for exists, _, _ in neighbors] + [np.ones(n_cells, bool)]
+        )
+        cols = np.column_stack(
+            [center + offset for _, offset, _ in neighbors] + [center]
+        )
+        vals = np.column_stack(
+            [np.full(n_cells, -conductance) for _, _, conductance in neighbors]
+            + [diagonal]
+        )
+        rows = np.broadcast_to(center[:, None], present.shape)
 
         self._matrix = sparse.csc_matrix(
-            (vals, (rows, cols)), shape=(n_cells, n_cells)
+            (vals[present], (rows[present], cols[present])),
+            shape=(n_cells, n_cells),
         )
         self._assembled_conductivity = conductivity
         return self._matrix
@@ -371,19 +371,22 @@ class FiniteVolumeThermalSolver:
     ) -> List[SteadyStateResult]:
         """Solve several source configurations against one factorization.
 
-        All right-hand sides go through a single multi-column
-        ``SuperLU.solve`` call, so ``n`` configurations cost one LU
-        factorization plus ``n`` pairs of triangular substitutions — the
-        fast path behind
+        ``n`` configurations cost one LU factorization plus ``n`` pairs of
+        triangular substitutions — the fast path behind
         :meth:`~repro.core.thermal.operator.FdmOperator.reduce`.
+
+        Each right-hand side is its own ``SuperLU.solve`` call.  A single
+        multi-column call runs level-3 BLAS on every supernode, and a
+        threaded OpenBLAS synchronises its threads on each of those small
+        calls: on a 2-vCPU machine, 10 columns of a 30x30x8 grid took
+        0.2 s that way against 0.04 s column by column.  With one BLAS
+        thread the two ways cost 0.012 s and 0.019 s, and on the shipped
+        examples they give the same doubles.
         """
         if not source_sets:
             raise ValueError("at least one source configuration is required")
-        stacked = np.stack(
-            [self._right_hand_side(sources) for sources in source_sets], axis=1
-        )
-        solutions = self.factorization.solve(stacked)
-        return [self._wrap(solutions[:, column]) for column in range(len(source_sets))]
+        loads = [self._right_hand_side(sources) for sources in source_sets]
+        return [self._wrap(self.factorization.solve(load)) for load in loads]
 
     def thermal_resistance(self, source: RectangularSource) -> float:
         """Lumped thermal resistance [K/W] seen by a single source.

@@ -1,6 +1,8 @@
 """Tests for repro.thermalsim.fdm (finite-volume reference solver)."""
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.thermalsim.fdm import FiniteVolumeThermalSolver, RectangularSource
 
@@ -133,3 +135,70 @@ class TestSolutionPhysics:
             1e-3, 1e-3, 0.1e-3, nx=16, ny=16, nz=6
         ).solve([centered_source]).peak_rise
         assert thin < thick
+
+
+def per_cell_system_matrix(solver):
+    """Reference assembly: one cell at a time, neighbours in a fixed order
+    (-x, +x, -y, +y, -z, +z) and then the diagonal, which starts from the
+    sink conductance of a bottom cell and adds each neighbour's in turn."""
+    nx, ny, nz = solver.nx, solver.ny, solver.nz
+    conductivity = solver.material.conductivity_at(solver.ambient_temperature)
+    gx = conductivity * solver.dy * solver.dz / solver.dx
+    gy = conductivity * solver.dx * solver.dz / solver.dy
+    gz = conductivity * solver.dx * solver.dy / solver.dz
+    g_bottom = conductivity * solver.dx * solver.dy / (0.5 * solver.dz)
+
+    def index(i, j, k):
+        return (i * ny + j) * nz + k
+
+    rows, cols, vals = [], [], []
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                diagonal = g_bottom if k == nz - 1 else 0.0
+                for exists, neighbor, conductance in (
+                    (i > 0, (i - 1, j, k), gx),
+                    (i < nx - 1, (i + 1, j, k), gx),
+                    (j > 0, (i, j - 1, k), gy),
+                    (j < ny - 1, (i, j + 1, k), gy),
+                    (k > 0, (i, j, k - 1), gz),
+                    (k < nz - 1, (i, j, k + 1), gz),
+                ):
+                    if exists:
+                        rows.append(index(i, j, k))
+                        cols.append(index(*neighbor))
+                        vals.append(-conductance)
+                        diagonal += conductance
+                rows.append(index(i, j, k))
+                cols.append(index(i, j, k))
+                vals.append(diagonal)
+    size = nx * ny * nz
+    return sparse.csc_matrix((vals, (rows, cols)), shape=(size, size))
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("grid", [(2, 2, 2), (3, 4, 2), (5, 2, 3), (6, 5, 4)])
+    def test_system_matrix_matches_per_cell_reference(self, grid):
+        nx, ny, nz = grid
+        solver = FiniteVolumeThermalSolver(
+            1.0e-3, 2.0e-3, 0.4e-3, nx=nx, ny=ny, nz=nz, ambient_temperature=310.0
+        )
+        matrix = solver.system_matrix()
+        reference = per_cell_system_matrix(solver)
+        assert matrix.format == reference.format == "csc"
+        assert matrix.data.tobytes() == reference.data.tobytes()
+        assert np.array_equal(matrix.indices, reference.indices)
+        assert np.array_equal(matrix.indptr, reference.indptr)
+
+    def test_solve_many_matches_single_solves(self, solver):
+        source_sets = [
+            [RectangularSource(0.3e-3, 0.4e-3, 0.1e-3, 0.2e-3, power=0.2)],
+            [
+                RectangularSource(0.7e-3, 0.6e-3, 0.2e-3, 0.1e-3, power=0.4),
+                RectangularSource(0.2e-3, 0.8e-3, 0.1e-3, 0.1e-3, power=0.1),
+            ],
+        ]
+        many = solver.solve_many(source_sets)
+        for sources, result in zip(source_sets, many):
+            single = solver.solve(sources).temperature_rise
+            assert result.temperature_rise.tobytes() == single.tobytes()
